@@ -431,12 +431,12 @@ func BenchmarkConcurrentSessions(b *testing.B) {
 
 // BenchmarkRecoveryOverhead prices the session-handoff machinery on the
 // BenchmarkConcurrentSessions workload: the same shared owner cluster,
-// every list now doubly replicated, swept with state mirroring off
-// (DisableHandoff) and on. The delta is the synchronous control-plane
-// sync after each successful sessionful exchange — the premium a
-// deployment pays for zero failed queries. BPA2 is the stressor: its
-// probe traffic is entirely sessionful, so every exchange mirrors;
-// stateless protocols pay nothing either way.
+// every list now doubly replicated, swept with handoff off
+// (DisableHandoff) and on. Handoff keeps the session state client-side
+// from the responses themselves and transfers it only when a pin dies,
+// so on a healthy cluster the two should match — the sweep pins that
+// zero failed queries cost no control-plane traffic. BPA2 is the
+// stressor: its probe traffic is entirely sessionful.
 func BenchmarkRecoveryOverhead(b *testing.B) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 2_000, M: 3, Seed: 1})
 	const lat = time.Millisecond

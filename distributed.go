@@ -118,8 +118,9 @@ type RecoveryStats struct {
 	// Restarts counts full protocol reruns the restart policy spent
 	// before the query completed (see ClusterConfig.Restart).
 	Restarts int
-	// Handoffs counts pinned-session promotions to a synced sibling
-	// replica performed mid-protocol after a pinned replica died.
+	// Handoffs counts sessions re-pinned to a sibling replica, seeded
+	// with the client-held session state, after a pinned replica died
+	// mid-protocol.
 	Handoffs int
 	// FailedReplicas counts distinct replicas that failed during the
 	// query, including replicas that failed attempts a restart
@@ -168,7 +169,7 @@ type TraceSpan struct {
 	// Attempts counts wire attempts spent (1 plus retries).
 	Attempts int `json:"attempts"`
 	// FailedOver reports that a different replica than first targeted
-	// answered; Handoff that the session re-pinned to a mirror during
+	// answered; Handoff that the session re-pinned to a sibling during
 	// the exchange.
 	FailedOver bool `json:"failed_over,omitempty"`
 	Handoff    bool `json:"handoff,omitempty"`
@@ -288,10 +289,11 @@ func distStatsOf(res *dist.Result) DistStats {
 // traffic the transport could not recover in place: BPA2's probes,
 // TPUT's phase-2 scans and the other sessionful exchanges live on the
 // cursors of exactly one pinned replica. Normally a pinned replica's
-// death is absorbed by the session handoff — the session re-pins to a
-// sibling that mirrors its state — so this error surfaces only when no
-// synced sibling exists: a flat (unreplicated) list, handoff disabled
-// (ClusterConfig.DisableHandoff), or every sibling already failed. The
+// death is absorbed by the session handoff — the session's client-held
+// state moves to a sibling, which becomes the pin — so this error
+// surfaces only when no sibling takes it: a flat (unreplicated) list,
+// handoff disabled (ClusterConfig.DisableHandoff), or every sibling
+// already failed. The
 // error names the list and replica; rerunning the query opens a fresh
 // session pinned to a live replica — ClusterConfig.Restart (or
 // WithRestart) does that rerun automatically. Stateless traffic (TA/BPA
@@ -690,16 +692,16 @@ type ClusterConfig struct {
 	// 1+MaxRestarts attempts. 0 means DefaultMaxRestarts; negative means
 	// no reruns. Override per query with WithMaxRestarts.
 	MaxRestarts int
-	// DisableHandoff turns off the session-state handoff that lets a
-	// sessionful query survive its pinned replica's death by re-pinning
-	// to a sibling that mirrors the session state. With handoff off, a
+	// DisableHandoff turns off the session handoff that lets a sessionful
+	// query survive its pinned replica's death by re-pinning to a sibling
+	// seeded with the client-held session state. With handoff off, a
 	// pinned replica's death surfaces as *OwnerFailedError (or triggers
 	// a whole-query restart when Restart allows one) — the pre-handoff
 	// behaviour, and a useful baseline when measuring handoff's cost.
 	DisableHandoff bool
 	// Logger receives the cluster client's structured recovery log:
-	// replica health transitions, mirror promotions and session
-	// handoffs, at slog.LevelInfo and below. nil discards them.
+	// replica health transitions and session handoffs, at
+	// slog.LevelInfo and below. nil discards them.
 	Logger *slog.Logger
 }
 
@@ -715,9 +717,9 @@ type ClusterConfig struct {
 // When a list has several replicas, session opens fan out to all of
 // them, stateless traffic is routed by the configured policy and fails
 // over mid-query when a replica dies, and cursor-bearing traffic is
-// pinned per session with its state deltas mirrored to a sibling — a
-// pinned replica's death hands the session off to the synced sibling
-// and the query completes. Only when no synced sibling remains does the
+// pinned per session, whose state the client holds from the responses
+// themselves — a pinned replica's death hands that state to a sibling
+// and the query completes. Only when no sibling remains does the
 // death surface as *OwnerFailedError, and ClusterConfig.Restart can
 // absorb even that by rerunning the query on the survivors. Answers and
 // primary accounting (Stats.Net) stay bit-identical to a single-owner

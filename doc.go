@@ -213,14 +213,14 @@
 //	sorted, lookup, fetch          none              fails over to a sibling;
 //	  (TA, BPA, TPUT phase 1+3)                      query completes, answers
 //	                                                 and accounting unchanged
-//	mark, topk (replayable but     tracker, depth    session handoff: the pin's
-//	  cursor-bearing)                                mirrored state resumes on a
-//	                                                 sibling, the exchange is
-//	                                                 re-sent there
+//	mark, topk (replayable but     tracker, depth    session handoff: a sibling
+//	  cursor-bearing)                                takes the client-held state,
+//	                                                 the exchange is re-sent
+//	                                                 there
 //	probe, above (non-replayable)  tracker, depth    session handoff; safe even
 //	  (BPA2, TPUT phase 2)                           without replayability — the
-//	                                                 mirror is only ever behind
-//	                                                 by the failed exchange
+//	                                                 handed-off state excludes
+//	                                                 only the failed exchange
 //
 // With no sibling left to hand off to (or handoff disabled), sessionful
 // failures surface as *OwnerFailedError naming the list and replica,
@@ -233,17 +233,21 @@
 // zero failed queries as long as each list keeps one live replica.
 //
 // Session handoff (owner side, always on unless
-// ClusterConfig.DisableHandoff): after every successful sessionful
-// exchange the client synchronously mirrors the pinned replica's state
-// delta — positions newly seen, scan depth — to one sibling replica of
-// that list, over uncharged control-plane endpoints (POST /session/sync,
-// GET /session/state). The mirror is therefore always exactly the pin's
-// state as of the last exchange that succeeded. If the pin dies, the
-// session re-pins to the mirror and resumes; because the failed exchange
-// was never applied-and-acknowledged anywhere the client kept, no cursor
-// advances twice and no list entry is skipped, even for the
-// non-replayable probe/above traffic. A fresh mirror is then promoted
-// from the remaining siblings by copying the new pin's full state.
+// ClusterConfig.DisableHandoff): every sessionful response already
+// carries its state delta — the position a probe or mark saw, the depth
+// a topk or above scan reached — so the client holds each session's
+// state per list (seen positions in memory that grows with the
+// accesses, plus the scan depth) at no extra traffic. Nothing crosses
+// the wire for recovery while the pin lives. If the pin dies, the
+// client replays that state to the next routable sibling in one
+// uncharged POST /session/sync (seen positions compressed to ranges),
+// trying siblings in turn, re-pins the session there and re-sends the
+// exchange. The client-held state is exactly the pin's as of the last
+// exchange that succeeded, so no cursor advances twice and no list
+// entry is skipped, even for the non-replayable probe/above traffic. A
+// sibling that fails the transfer is skipped and demoted like any
+// failed replica; every handoff drops the dead pin for good, so
+// handoffs per list are bounded by the replica set.
 //
 // Query restart (originator side, opt-in): ClusterConfig.Restart — or
 // per-query WithRestart — reruns a query that still failed (for
@@ -261,7 +265,9 @@
 // single-owner run whatever handoffs or restarts happened, because the
 // client-side ledger charges each logical access exactly once and
 // restarted attempts report only the final run — and Recovery, which
-// tallies Restarts, Handoffs and FailedReplicas for the run. The
+// tallies Restarts, Handoffs and FailedReplicas for the run. The ledger
+// is the session's only access tally, on flat and replicated
+// topologies alike, so reading a run's accesses costs no request. The
 // flat DistStats fields (Messages, Payload, Rounds, Exchanges,
 // PerOwner, TotalAccesses, Elapsed) are deprecated mirrors of Net kept
 // for one release; read Net.* (and Recovery) instead. /v1/dist reports
@@ -384,10 +390,12 @@
 //
 //	topk_owner_exchanges_total{kind} / _exchange_seconds{kind} / _exchange_errors_total{kind}
 //	topk_owner_wire_bytes_total{codec,direction}
-//	topk_owner_sessions_open / _opened_total / _closed_total / _evicted_total / _session_syncs_total
+//	topk_owner_sessions_open / _opened_total / _closed_total / _evicted_total
+//	topk_owner_session_syncs_total (handoff state transfers installed)
 //	topk_client_exchanges_total{kind} / _exchange_seconds{kind} / _exchange_errors_total{kind}
 //	topk_client_wire_bytes_total{codec,direction} / _exchange_bytes
-//	topk_client_retries_total / _failovers_total / _handoffs_total / _mirror_promotions_total
+//	topk_client_retries_total / _failovers_total / _handoffs_total
+//	topk_client_conns_dialed_total (new TCP connections: flat across queries under keep-alive, one per health probe)
 //	topk_client_replica_failures_total / _health_transitions_total{to}
 //	topk_client_replica_healthy{list,replica} / _probe_ewma_seconds{list,replica}
 //	topk_client_sessions_open / _opened_total
@@ -420,7 +428,7 @@
 //	   ...
 //
 // Both daemons log lifecycle events (session open/close/evict, health
-// transitions, handoff promotions) via log/slog behind -log-level
+// transitions, session handoffs) via log/slog behind -log-level
 // (debug, info, warn, error, off); -pprof addr serves the standard
 // net/http/pprof mux on a separate listener for CPU and heap profiles
 // under load.

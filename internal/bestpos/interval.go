@@ -1,5 +1,7 @@
 package bestpos
 
+import "sort"
+
 // Interval is a run-length tracker that is not in the paper: it stores the
 // seen positions as maximal runs of consecutive positions, keyed by their
 // endpoints in two hash maps. Marking a position looks up the runs ending
@@ -81,3 +83,14 @@ func (iv *Interval) Count() int { return iv.count }
 // Runs returns the number of maximal seen runs; exported for tests and for
 // the tracker ablation, which reports how fragmented the seen set is.
 func (iv *Interval) Runs() int { return len(iv.endOf) }
+
+// Ranges returns the maximal seen runs as inclusive [start, end] pairs in
+// ascending order — the seen set in range-compressed form.
+func (iv *Interval) Ranges() [][2]int {
+	out := make([][2]int, 0, len(iv.endOf))
+	for s, e := range iv.endOf {
+		out = append(out, [2]int{s, e})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}

@@ -2,6 +2,7 @@ package bestpos
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -40,8 +41,9 @@ func TestIntervalRunMerging(t *testing.T) {
 	}
 }
 
-// TestIntervalRunsInvariant: the number of runs always equals the number
-// of maximal consecutive blocks of the seen set.
+// TestIntervalRunsInvariant: the runs always equal the maximal
+// consecutive blocks of the seen set — in number (Runs) and, in
+// ascending order, as inclusive ranges (Ranges).
 func TestIntervalRunsInvariant(t *testing.T) {
 	prop := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -52,14 +54,21 @@ func TestIntervalRunsInvariant(t *testing.T) {
 			p := 1 + rng.Intn(n)
 			iv.MarkSeen(p)
 			marked[p] = true
-			runs := 0
+			var want [][2]int
 			for q := 1; q <= n; q++ {
 				if marked[q] && !marked[q-1] {
-					runs++
+					want = append(want, [2]int{q, q})
+				}
+				if marked[q] && !marked[q+1] {
+					want[len(want)-1][1] = q
 				}
 			}
-			if iv.Runs() != runs {
-				t.Logf("Runs = %d, want %d", iv.Runs(), runs)
+			if iv.Runs() != len(want) {
+				t.Logf("Runs = %d, want %d", iv.Runs(), len(want))
+				return false
+			}
+			if got := iv.Ranges(); !reflect.DeepEqual(got, want) {
+				t.Logf("Ranges = %v, want %v", got, want)
 				return false
 			}
 		}

@@ -127,5 +127,5 @@ func BPAOver(ctx context.Context, t transport.Transport, opts Options) (*Result,
 	for i := range trackers {
 		res.BestPositions[i] = trackers[i].Best()
 	}
-	return r.finish(res)
+	return r.finish(res, nil)
 }

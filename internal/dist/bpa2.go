@@ -121,5 +121,5 @@ func BPA2Over(ctx context.Context, t transport.Transport, opts Options) (*Result
 	for i, st := range sts {
 		res.BestPositions[i] = st.Best
 	}
-	return r.finish(res)
+	return r.finish(res, sts)
 }

@@ -53,7 +53,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"topk/internal/access"
@@ -179,8 +178,8 @@ type Recovery struct {
 	// Restarts counts full protocol reruns the restart policy spent
 	// before the run completed.
 	Restarts int
-	// Handoffs counts pin-to-mirror session promotions inside the
-	// completing run.
+	// Handoffs counts sessions handed off to a sibling replica inside
+	// the completing run.
 	Handoffs int
 	// FailedReplicas counts distinct replicas that failed mid-run,
 	// including ones failed attempts of a restarted query pinned to.
@@ -406,35 +405,30 @@ func as[T transport.Response](resp transport.Response) (T, error) {
 	return v, nil
 }
 
-// stats gathers the owners' control-plane bookkeeping for this session,
-// fanned out in parallel — uncharged, but over HTTP a serial loop would
-// still cost m real round-trips per query.
+// stats gathers the owners' control-plane bookkeeping for this session —
+// uncharged, and answered without a round-trip by every backend (the
+// HTTP session keeps it client-side).
 func (r *runner) stats() ([]transport.OwnerStats, error) {
 	out := make([]transport.OwnerStats, r.m)
-	errs := make([]error, r.m)
-	var wg sync.WaitGroup
-	for i := 0; i < r.m; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i], errs[i] = r.sess.Stats(r.ctx, i)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
+	for i := range out {
+		var err error
+		if out[i], err = r.sess.Stats(r.ctx, i); err != nil {
 			return nil, fmt.Errorf("dist: stats of owner %d: %w", i, err)
 		}
 	}
 	return out, nil
 }
 
-// finish assembles the common Result fields.
-func (r *runner) finish(res *Result) (*Result, error) {
+// finish assembles the common Result fields from the owners' final
+// stats — sts when the protocol already fetched that snapshot, a fresh
+// one when it passes nil — so a query reads its stats once.
+func (r *runner) finish(res *Result, sts []transport.OwnerStats) (*Result, error) {
 	res.Items = r.y.Slice()
-	sts, err := r.stats()
-	if err != nil {
-		return nil, err
+	if sts == nil {
+		var err error
+		if sts, err = r.stats(); err != nil {
+			return nil, err
+		}
 	}
 	for _, st := range sts {
 		res.Accesses = res.Accesses.Add(st.Accesses)

@@ -103,5 +103,5 @@ func TAOver(ctx context.Context, t transport.Transport, opts Options) (*Result, 
 		// At pos == n every kept score is >= δ by monotonicity, so the
 		// loop cannot fall through with a partial answer while k <= n.
 	}
-	return r.finish(res)
+	return r.finish(res, nil)
 }

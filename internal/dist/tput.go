@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"topk/internal/list"
@@ -75,33 +76,20 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 	if _, ok := opts.Scoring.(score.Sum); !ok {
 		return nil, fmt.Errorf("dist: TPUT requires Sum scoring, got %q", opts.Scoring.Name())
 	}
-	m, n, k := r.m, r.n, opts.K
-	sts, err := r.stats()
-	if err != nil {
-		return nil, err
-	}
-	for i, st := range sts {
-		// The list minimum is owner metadata (cf. core.ListFloors), not a
-		// charged access.
-		if st.MinScore < 0 {
-			return nil, fmt.Errorf("dist: TPUT requires non-negative scores, list %d has minimum %v", i, st.MinScore)
-		}
-	}
+	m, k := r.m, opts.K
 
-	// Originator bookkeeping: the known local scores per (list, item).
-	local := make([][]float64, m)
-	known := make([][]bool, m)
-	for i := range known {
-		local[i] = make([]float64, n)
-		known[i] = make([]bool, n)
+	// Originator bookkeeping: the known local scores per (list, item),
+	// sparse — it grows with the entries the phases report, not with n.
+	local := make([]map[list.ItemID]float64, m)
+	for i := range local {
+		local[i] = make(map[list.ItemID]float64)
 	}
-	knownCnt := make([]int, n)
+	knownCnt := make(map[list.ItemID]int)
 	var items []list.ItemID // distinct seen items, first-seen order
 	add := func(i int, e list.Entry) {
-		if known[i][e.Item] {
+		if _, ok := local[i][e.Item]; ok {
 			return
 		}
-		known[i][e.Item] = true
 		local[i][e.Item] = e.Score
 		if knownCnt[e.Item] == 0 {
 			items = append(items, e.Item)
@@ -117,8 +105,8 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 	locals := make([]float64, m)
 	bound := func(d list.ItemID, fill []float64) float64 {
 		for i := 0; i < m; i++ {
-			if known[i][d] {
-				locals[i] = local[i][d]
+			if s, ok := local[i][d]; ok {
+				locals[i] = s
 			} else {
 				locals[i] = fill[i]
 			}
@@ -146,6 +134,13 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 		topkCalls[i] = transport.Call{Owner: i, Req: transport.TopKReq{K: k}}
 	}
 	topkResps, err := r.doAll(topkCalls)
+	if errors.Is(err, transport.ErrNegativeScores) {
+		// The owners check the non-negative precondition on the list they
+		// read (the floor is metadata, cf. core.ListFloors, not a charged
+		// access). A caller-fault refusal on every backend: keep the
+		// sentinel, not the transport chain that carried it.
+		return nil, fmt.Errorf("dist: TPUT requires non-negative scores: %w (%v)", transport.ErrNegativeScores, err)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +191,7 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 			continue
 		}
 		for i := 0; i < m; i++ {
-			if !known[i][d] {
+			if _, ok := local[i][d]; !ok {
 				missing[i] = append(missing[i], d)
 			}
 		}
@@ -222,7 +217,6 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 			return nil, fmt.Errorf("dist: owner %d returned %d scores for %d items", i, len(fr.Scores), len(missing[i]))
 		}
 		for j, d := range missing[i] {
-			known[i][d] = true
 			local[i][d] = fr.Scores[j]
 			knownCnt[d]++
 		}
@@ -236,7 +230,7 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 		}
 	}
 	res := &Result{Threshold: tau2}
-	sts, err = r.stats()
+	sts, err := r.stats()
 	if err != nil {
 		return nil, err
 	}
@@ -245,5 +239,5 @@ func tputRun(ctx context.Context, t transport.Transport, opts Options, rule thre
 			res.StopPosition = st.Depth
 		}
 	}
-	return r.finish(res)
+	return r.finish(res, sts)
 }

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"topk/internal/access"
 	"topk/internal/bestpos"
 	"topk/internal/list"
 	"topk/internal/obs"
@@ -31,12 +32,9 @@ import (
 //	POST /session/open   control-plane: install fresh per-session state
 //	                     {sid, tracker}; idempotent per sid
 //	POST /session/close  control-plane: release a session's state {sid}
-//	POST /session/sync   control-plane: apply a session-state delta
-//	                     mirrored from a sibling replica {sid, positions,
-//	                     ranges, depth}; idempotent, never charged
-//	GET  /session/state?sid=...  control-plane: export a session's
-//	                     replicable state (seen-position ranges + scan
-//	                     depth) for mirror promotion
+//	POST /session/sync   control-plane: install a session's client-held
+//	                     state on the sibling a handoff re-pins it to
+//	                     {sid, ranges, depth}; idempotent, never charged
 //	POST /rpc/{kind}?sid=...  one exchange; body and response are the
 //	                     message structs of this package, encoded by the
 //	                     negotiated wire codec (kind "batch" carries a
@@ -94,7 +92,6 @@ func NewServer(db *list.Database, index int) (*Server, error) {
 	s.mux.HandleFunc("/session/open", s.handleOpen)
 	s.mux.HandleFunc("/session/close", s.handleClose)
 	s.mux.HandleFunc("/session/sync", s.handleSync)
-	s.mux.HandleFunc("/session/state", s.handleState)
 	s.mux.HandleFunc("/filter/set", s.handleFilterSet)
 	s.mux.HandleFunc("/filter/clear", s.handleFilterClear)
 	s.mux.HandleFunc("/reset", s.handleReset)
@@ -140,13 +137,29 @@ const HeaderFrameCRC = "X-Topk-Frame-Crc"
 // errCorruptFrame classifies a response whose body failed its checksum
 // (or could not be read or decoded at all): the exchange reached the
 // owner but its answer was damaged in flight. Transient — replayable
-// requests re-send, non-replayable sessionful ones hand off to the
-// mirror whose state excludes the damaged exchange.
+// requests re-send, non-replayable sessionful ones hand off to a
+// sibling seeded with the client-held state, which excludes the damaged
+// exchange.
 var errCorruptFrame = errors.New("transport: corrupt response frame")
 
-// httpError is the uniform error payload.
+// httpError is the uniform error payload. Code names a typed owner
+// error the client restores for errors.Is (see RemoteError.Unwrap).
 type httpError struct {
 	Error string `json:"error"`
+	Code  string `json:"code,omitempty"`
+}
+
+// codeNegativeScores is ErrNegativeScores's wire code.
+const codeNegativeScores = "negative_scores"
+
+// writeOwnerError answers an owner error with its status (statusFor) and,
+// when it is typed, its wire code.
+func writeOwnerError(w http.ResponseWriter, err error) {
+	he := httpError{Error: err.Error()}
+	if errors.Is(err, ErrNegativeScores) {
+		he.Code = codeNegativeScores
+	}
+	writeJSON(w, statusFor(err), he)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -192,7 +205,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.owner.SessionStats(sid)
 	if err != nil {
-		writeError(w, statusFor(err), "%v", err)
+		writeOwnerError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
@@ -270,26 +283,30 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// syncBody is the /session/sync request payload and the /session/state
-// response: the replicable state of one (session, list) pair. Per-
-// exchange deltas travel as single Positions; a full-state promotion
-// ships the compressed seen-position Ranges ([lo,hi] inclusive). Depth
-// is the scan cursor, merged monotonically.
+// syncBody is the /session/sync request payload: the state of one
+// (session, list) pair as the originator holds it — the seen positions
+// compressed into inclusive [lo,hi] Ranges, and the scan Depth.
 type syncBody struct {
-	SID       string   `json:"sid"`
-	Positions []int    `json:"positions,omitempty"`
-	Ranges    [][2]int `json:"ranges,omitempty"`
-	Depth     int      `json:"depth,omitempty"`
+	SID    string   `json:"sid"`
+	Ranges [][2]int `json:"ranges,omitempty"`
+	Depth  int      `json:"depth,omitempty"`
 }
 
-// handleSync applies a mirrored session-state delta (see Owner.SyncSession).
+// handleSync installs handed-off session state (see Owner.SyncSession).
+// Unknown fields are refused: an older originator mirrored every
+// exchange as a {sid, positions, depth} delta, and accepting that shape
+// while dropping its positions would leave a sibling it later promotes
+// without the seen set — cursors would re-deliver positions already
+// read. A 400 makes that originator drop the mirror and fail typed.
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	var body syncBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad sync body: %v", err)
 		return
 	}
@@ -297,31 +314,11 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty session ID")
 		return
 	}
-	if err := s.owner.SyncSession(body.SID, body.Positions, body.Ranges, body.Depth); err != nil {
-		writeError(w, statusFor(err), "%v", err)
+	if err := s.owner.SyncSession(body.SID, body.Ranges, body.Depth); err != nil {
+		writeOwnerError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleState exports a session's replicable state for mirror promotion
-// (see Owner.SessionState).
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	sid := r.URL.Query().Get("sid")
-	if sid == "" {
-		writeError(w, http.StatusBadRequest, "missing sid parameter")
-		return
-	}
-	ranges, depth, err := s.owner.SessionState(sid)
-	if err != nil {
-		writeError(w, statusFor(err), "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, syncBody{SID: sid, Ranges: ranges, Depth: depth})
 }
 
 // filterBody is the /filter/set and /filter/clear request payload: one
@@ -346,7 +343,7 @@ func (s *Server) handleFilterSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.owner.SetFilter(body.Query, body.Slack, body.Watch); err != nil {
-		writeError(w, statusFor(err), "%v", err)
+		writeOwnerError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -503,7 +500,7 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 		// unknown sessions, or an abandoned deadline budget — statusFor
 		// tells the client which (only the last is worth a retry, and
 		// only with time left).
-		writeError(w, statusFor(err), "%v", err)
+		writeOwnerError(w, err)
 		return
 	}
 	out := getBuf()
@@ -610,16 +607,14 @@ type DialConfig struct {
 	BreakerCooldown time.Duration
 	// Wire selects the data-plane codec. Default WireAuto.
 	Wire WireFormat
-	// DisableHandoff turns off session-state mirroring: sessionful
-	// exchanges stop piggybacking their state delta to a sibling replica,
-	// and a pinned replica's death surfaces OwnerFailedError immediately
-	// instead of re-pinning the session to the synced mirror. The
-	// pre-handoff behaviour, kept for callers that prefer whole-query
-	// restarts (or measure the mirroring overhead).
+	// DisableHandoff turns off session handoff: a pinned replica's death
+	// surfaces OwnerFailedError immediately instead of re-pinning the
+	// session to a sibling seeded with the client-held session state.
+	// The pre-handoff behaviour, kept for callers that prefer whole-query
+	// restarts.
 	DisableHandoff bool
 	// Logger receives the client's structured recovery narration:
-	// replica health transitions, session handoffs, mirror promotions.
-	// nil discards it.
+	// replica health transitions and session handoffs. nil discards it.
 	Logger *slog.Logger
 }
 
@@ -666,8 +661,8 @@ type HTTPClient struct {
 	proberDone  chan struct{}
 	closeOnce   sync.Once
 
-	// log narrates recovery events (health transitions, handoffs,
-	// promotions). Never nil; set once at dial.
+	// log narrates recovery events (health transitions, handoffs).
+	// Never nil; set once at dial.
 	log *slog.Logger
 }
 
@@ -676,9 +671,19 @@ type HTTPClient struct {
 // connections per host, so a fleet of concurrent originators hammering
 // the same few owners would re-handshake TCP on nearly every exchange;
 // the tuned pool keeps one warm connection per in-flight originator.
+// Every new connection is counted (topk_client_conns_dialed_total) at
+// dial time, so keep-alive health costs nothing per request.
 func defaultHTTPClient() *http.Client {
+	dialer := &net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}
 	return &http.Client{Transport: &http.Transport{
-		Proxy:               http.ProxyFromEnvironment,
+		Proxy: http.ProxyFromEnvironment,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := dialer.DialContext(ctx, network, addr)
+			if err == nil {
+				mClientConnsDialed.Inc()
+			}
+			return c, err
+		},
 		MaxIdleConns:        256,
 		MaxIdleConnsPerHost: 64,
 		IdleConnTimeout:     90 * time.Second,
@@ -881,6 +886,7 @@ func (t *HTTPClient) handshake(ctx context.Context) error {
 				return err
 			}
 			allBinary = allBinary && advertisesBinary(v.st)
+			r.info.Store(&v.st)
 			r.validated.Store(true)
 			t.noteHealth(r, true)
 			r.observe(v.dur)
@@ -959,6 +965,10 @@ func transientErr(ctx context.Context, err error) bool {
 	return true
 }
 
+// maxDrain bounds the unread response bytes attempt discards to keep a
+// connection reusable: far above any control-plane reply or error body.
+const maxDrain = 64 << 10
+
 // attempt performs one HTTP round-trip under the per-attempt timeout.
 // The returned status is 0 when no response arrived.
 func (t *HTTPClient) attempt(ctx context.Context, method, url string, body []byte, contentType string, decode func(io.Reader) error) (int, error) {
@@ -989,7 +999,14 @@ func (t *HTTPClient) attempt(ctx context.Context, method, url string, body []byt
 	if err != nil {
 		return 0, err
 	}
-	defer resp.Body.Close()
+	// Drain what the decoder left — a JSON decoder stops before the
+	// encoder's trailing newline, error and bodiless paths read nothing —
+	// so the connection goes back to the pool instead of being torn
+	// down. Bounded: a body bigger than the cap costs its connection.
+	defer func() {
+		_, _ = io.CopyN(io.Discard, resp.Body, maxDrain)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
 		return resp.StatusCode, remoteError(resp)
 	}
@@ -1084,6 +1101,18 @@ type RemoteError struct {
 	// response (X-Topk-Retry-After-Ms): how long to wait before
 	// re-sending. Zero when the owner sent none.
 	RetryAfter time.Duration
+	// Code names the owner's typed error when it sent one; Unwrap
+	// restores the sentinel from it.
+	Code string
+}
+
+// Unwrap returns the owner's typed error named by Code, so errors.Is
+// matches it over HTTP as it does in process; nil for untyped errors.
+func (e *RemoteError) Unwrap() error {
+	if e.Code == codeNegativeScores {
+		return ErrNegativeScores
+	}
+	return nil
 }
 
 // Error renders the owner's message when present, the status otherwise.
@@ -1101,8 +1130,8 @@ func remoteError(resp *http.Response) error {
 		re.RetryAfter = time.Duration(v) * time.Millisecond
 	}
 	var body httpError
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body); err == nil && body.Error != "" {
-		re.Msg = body.Error
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&body); err == nil {
+		re.Msg, re.Code = body.Error, body.Code
 	}
 	return re
 }
@@ -1141,10 +1170,9 @@ func (t *HTTPClient) replicaInfo(ctx context.Context, r *replica) (OwnerStats, e
 
 // sessionListState is one session's per-list routing and accounting
 // state: which replicas hold the session, the replica its sessionful
-// traffic is pinned to, and — in replicated topologies — the
-// client-side access ledger. Guarded by its mutex; contention is nil in
-// practice because a session addresses each list from one goroutine at
-// a time.
+// traffic is pinned to, and the client-held session state. Guarded by
+// its mutex; contention is nil in practice because a session addresses
+// each list from one goroutine at a time.
 type sessionListState struct {
 	mu sync.Mutex
 	// open[ri] records that replica ri acknowledged /session/open — the
@@ -1159,39 +1187,36 @@ type sessionListState struct {
 	// pin is the replica serving this session's sessionful exchanges,
 	// chosen by policy at first use; nil until then.
 	pin *replica
-	// mirror is the sibling replica kept in sync with the pin's session
-	// state, promoted to pin when the pin dies mid-query. Invariant: a
-	// non-nil mirror's state equals the pin's state as of the last
-	// successful sessionful exchange (chosen while both were fresh, then
-	// synced after every exchange), so promoting it never replays a
-	// cursor advance. nil when the list has no sibling, handoff is
-	// disabled, or the last sync failed and no replacement could be
-	// promoted.
-	mirror *replica
-	// failed[ri] records replicas that failed an exchange (or a mirror
-	// sync) of this session — the session's recovery bookkeeping.
+	// failed[ri] records replicas that failed an exchange (or a handoff
+	// state transfer) of this session — the session's recovery
+	// bookkeeping.
 	failed []bool
-	// ledger mirrors the accesses this session's successful exchanges
-	// charged, per the owner handler semantics (see record). In a
-	// replicated topology the authoritative tally would be scattered
-	// across the replicas that happened to serve each exchange — and
-	// partially lost with a crashed one — so Stats reports the ledger
-	// instead, keeping access accounting bit-identical to a single-owner
-	// run whatever routed or failed over.
+	// ledger is the session's state at this list as the originator saw
+	// it: the accesses its successful exchanges charged and the state
+	// deltas their responses piggybacked. It is the single source of
+	// Stats — whatever replicas routing scattered the exchanges across,
+	// or lost with a crash — and exactly the state a handoff transfers.
 	ledger ledger
 }
 
-// ledger is the client-side access mirror of one (session, list) pair.
+// ledger is the client-held state of one (session, list) pair.
 type ledger struct {
 	sorted, random, direct int64
 	depth                  int
+	// seen holds the positions probe and mark responses reported seen
+	// (ProbeResp.Pos, MarkResp.Pos) — the owner tracker's contents, in
+	// memory that grows with the accesses, not the list. nil until the
+	// first one.
+	seen *bestpos.Interval
 }
 
 // record charges one successful exchange to the ledger, mirroring the
 // owner handlers exactly: sorted/topk/above are sorted accesses, lookup/
 // mark/fetch are random, probe is direct (unless it had nothing left to
-// read). n is the list length — needed to tell whether an above-scan
-// stopped on a below-threshold read (charged) or ran off the end.
+// read); probe and mark mark their position seen, topk and above move
+// the scan depth. n is the list length — needed to tell whether an
+// above-scan stopped on a below-threshold read (charged) or ran off the
+// end.
 func (l *ledger) record(req Request, resp Response, n int) {
 	switch r := req.(type) {
 	case SortedReq:
@@ -1200,11 +1225,15 @@ func (l *ledger) record(req Request, resp Response, n int) {
 		l.random++
 	case MarkReq:
 		l.random++
+		if mr, ok := resp.(MarkResp); ok {
+			l.markSeen(mr.Pos, n)
+		}
 	case FetchReq:
 		l.random += int64(len(r.Items))
 	case ProbeReq:
 		if pr, ok := resp.(ProbeResp); ok && !pr.Empty {
 			l.direct++
+			l.markSeen(pr.Pos, n)
 		}
 	case TopKReq:
 		l.sorted += int64(r.K)
@@ -1216,10 +1245,7 @@ func (l *ledger) record(req Request, resp Response, n int) {
 		}
 		// The owner reads entries until one falls below the threshold
 		// (that read is charged too) or the list ends.
-		charge := len(ar.Entries) + 1
-		if rest := n - l.depth; charge > rest {
-			charge = rest
-		}
+		charge := min(len(ar.Entries)+1, n-l.depth)
 		l.sorted += int64(charge)
 		l.depth += charge
 	case BatchReq:
@@ -1231,6 +1257,40 @@ func (l *ledger) record(req Request, resp Response, n int) {
 			l.record(r.Reqs[i], br.Resps[i], n)
 		}
 	}
+}
+
+// markSeen records a piggybacked seen position, ignoring positions off
+// the list (a response that carries none).
+func (l *ledger) markSeen(p, n int) {
+	if p < 1 || p > n {
+		return
+	}
+	if l.seen == nil {
+		l.seen = bestpos.NewInterval(n)
+	}
+	l.seen.MarkSeen(p)
+}
+
+// stats renders the ledger as the session half of OwnerStats.
+func (l *ledger) stats() OwnerStats {
+	st := OwnerStats{
+		Accesses: access.Counts{Sorted: l.sorted, Random: l.random, Direct: l.direct},
+		Depth:    l.depth,
+	}
+	if l.seen != nil {
+		st.Best = l.seen.Best()
+	}
+	return st
+}
+
+// syncBody renders the ledger's replicable state — seen ranges and scan
+// depth — as the /session/sync payload that hands the session off.
+func (l *ledger) syncBody(sid string) syncBody {
+	body := syncBody{SID: sid, Depth: l.depth}
+	if l.seen != nil {
+		body.Ranges = l.seen.Ranges()
+	}
+	return body
 }
 
 // openTimeout caps each replica's /session/open attempt budget. The
@@ -1452,9 +1512,14 @@ func (t *HTTPClient) Close() error {
 			<-t.proberDone
 		}
 	})
-	t.hc.CloseIdleConnections()
+	t.CloseIdleConnections()
 	return nil
 }
+
+// CloseIdleConnections closes the pooled keep-alive connections no
+// exchange is using. The client stays usable: the next exchange to an
+// owner dials afresh.
+func (t *HTTPClient) CloseIdleConnections() { t.hc.CloseIdleConnections() }
 
 // httpSession is one query over the shared HTTP client. Elapsed
 // accumulates real time the way the Concurrent backend accumulates
@@ -1468,7 +1533,7 @@ type httpSession struct {
 
 	state []sessionListState
 
-	// handoffs counts pin-to-mirror promotions across all lists;
+	// handoffs counts session handoffs across all lists;
 	// backpressure counts owner sheds (429) this session waited out.
 	handoffs     atomic.Int64
 	backpressure atomic.Int64
@@ -1520,27 +1585,19 @@ func (s *httpSession) dropOpen(li, ri int) {
 }
 
 // pinned returns the replica this session's sessionful traffic for list
-// li sticks to, choosing it by policy on first use — and, unless
-// handoff is disabled, a mirror sibling alongside it. Both start from
-// identical fresh session state, so the mirror is synced by
-// construction until the first sessionful exchange lands a delta.
+// li sticks to, choosing it by policy on first use.
 func (s *httpSession) pinned(li int) *replica {
 	ls := &s.state[li]
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if ls.pin == nil {
 		ls.pin = s.t.route(li, ls.open, nil)
-		if ls.pin != nil && !s.t.noHandoff {
-			tried := make([]bool, len(s.t.lists[li]))
-			tried[ls.pin.index] = true
-			ls.mirror = s.t.route(li, ls.open, tried)
-		}
 	}
 	return ls.pin
 }
 
-// noteFailed records a replica failing an exchange (or mirror sync) of
-// this session, for the session's recovery bookkeeping.
+// noteFailed records a replica failing an exchange (or a handoff state
+// transfer) of this session, for the session's recovery bookkeeping.
 func (s *httpSession) noteFailed(li, ri int) {
 	ls := &s.state[li]
 	ls.mu.Lock()
@@ -1552,7 +1609,7 @@ func (s *httpSession) noteFailed(li, ri int) {
 }
 
 // SessionRecovery reports the failures one session absorbed: how many
-// pin-to-mirror handoffs it performed, how many distinct replicas
+// session handoffs it performed, how many distinct replicas
 // failed an exchange mid-query, and how many owner sheds it waited out
 // as backpressure. The dist runner harvests it into Result.Recovery;
 // primary accounting is untouched by any of them.
@@ -1578,10 +1635,10 @@ func (s *httpSession) Recovery() SessionRecovery {
 	return rec
 }
 
-// controlBound caps a recovery control-plane call (sync, state export)
-// the way openTimeout caps the open fan-out: these calls exist to keep
-// a sibling promotable, so a black-holed sibling must cost a bounded
-// slice of the query, not a full data-plane timeout per exchange.
+// controlBound caps a handoff's state transfer the way openTimeout
+// caps the open fan-out: a black-holed sibling must cost a bounded slice
+// of the query, not a full data-plane timeout, before the next sibling
+// is tried.
 func (s *httpSession) controlBound() time.Duration {
 	if s.t.reqTimeout < openTimeout {
 		return s.t.reqTimeout
@@ -1589,141 +1646,19 @@ func (s *httpSession) controlBound() time.Duration {
 	return openTimeout
 }
 
-// appendSyncPositions collects the seen-position deltas a sessionful
-// response piggybacks (ProbeResp.Pos, MarkResp.Pos, recursively through
-// batches). TopK/Above deltas are depth-only and come from the ledger.
-func appendSyncPositions(dst []int, resp Response) []int {
-	switch r := resp.(type) {
-	case ProbeResp:
-		if r.Pos > 0 {
-			dst = append(dst, r.Pos)
-		}
-	case MarkResp:
-		if r.Pos > 0 {
-			dst = append(dst, r.Pos)
-		}
-	case BatchResp:
-		for _, inner := range r.Resps {
-			dst = appendSyncPositions(dst, inner)
-		}
-	}
-	return dst
-}
-
-// syncMirror forwards the session-state delta of one successful
-// sessionful exchange to the list's mirror replica, synchronously —
-// the mirror invariant (state equals the pin's as of the last
-// successful exchange) is what makes a later handoff replay-safe, so
-// the delta cannot be deferred. Marks are idempotent and the depth
-// merge monotonic, so a delta the mirror already holds converges. A
-// mirror that fails the sync is dropped (it may be stale now) and a
-// replacement is promoted from the pin's full state, best-effort.
-func (s *httpSession) syncMirror(ctx context.Context, li int, resp Response) {
-	if !s.t.replicated || s.t.noHandoff {
-		return
-	}
-	ls := &s.state[li]
-	ls.mu.Lock()
-	m := ls.mirror
-	depth := ls.ledger.depth
-	ls.mu.Unlock()
-	if m == nil {
-		return
-	}
-	body := syncBody{SID: s.sid, Positions: appendSyncPositions(nil, resp), Depth: depth}
-	sctx, cancel := context.WithTimeout(ctx, s.controlBound())
-	err := s.t.doJSON(sctx, m, http.MethodPost, "/session/sync", body, nil)
-	cancel()
-	if err == nil {
-		return
-	}
-	// The mirror missed a delta: it is no longer promotable. A 404 means
-	// it restarted and lost the session outright — drop it from routing
-	// too. Demote its health so the promotion below does not immediately
-	// re-pick the replica that just failed; the prober revives it. Then
-	// try to promote a replacement from the pin's full state.
-	s.noteFailed(li, m.index)
-	m.noteFailure()
-	s.t.noteHealth(m, false)
-	s.t.tripFailure(m)
-	s.t.log.Warn("mirror lost sync", "sid", s.sid, "list", li, "replica", m.index, "url", m.url, "err", err)
-	var re *RemoteError
-	if errors.As(err, &re) && re.Status == http.StatusNotFound {
-		s.dropOpen(li, m.index)
-	}
-	ls.mu.Lock()
-	if ls.mirror == m {
-		ls.mirror = nil
-	}
-	ls.mu.Unlock()
-	s.promoteMirror(ctx, li)
-}
-
-// promoteMirror installs a fresh synced mirror for list li: it picks a
-// routable sibling of the pin, copies the pin's full session state onto
-// it (seen-position ranges + depth), and installs it only when the copy
-// succeeded — preserving the invariant that a non-nil mirror is always
-// promotable. Best-effort: with no sibling left, or a failed copy, the
-// session continues unmirrored and the pin's death surfaces the typed
-// owner failure.
-func (s *httpSession) promoteMirror(ctx context.Context, li int) {
-	if s.t.noHandoff {
-		return
-	}
-	ls := &s.state[li]
-	ls.mu.Lock()
-	pin := ls.pin
-	hasMirror := ls.mirror != nil
-	open := append([]bool(nil), ls.open...)
-	ls.mu.Unlock()
-	if pin == nil || hasMirror {
-		return
-	}
-	tried := make([]bool, len(s.t.lists[li]))
-	tried[pin.index] = true
-	cand := s.t.route(li, open, tried)
-	if cand == nil || cand == pin {
-		return
-	}
-	bctx, cancel := context.WithTimeout(ctx, s.controlBound())
-	defer cancel()
-	var st syncBody
-	err := s.t.doJSON(bctx, pin, http.MethodGet, "/session/state?sid="+s.sid, nil, func(body io.Reader) error {
-		return json.NewDecoder(body).Decode(&st)
-	})
-	if err != nil {
-		return
-	}
-	if err := s.t.doJSON(bctx, cand, http.MethodPost, "/session/sync",
-		syncBody{SID: s.sid, Ranges: st.Ranges, Depth: st.Depth}, nil); err != nil {
-		s.noteFailed(li, cand.index)
-		cand.noteFailure()
-		s.t.noteHealth(cand, false)
-		s.t.tripFailure(cand)
-		return
-	}
-	ls.mu.Lock()
-	installed := false
-	if ls.mirror == nil && ls.pin == pin && ls.open[cand.index] {
-		ls.mirror = cand
-		installed = true
-	}
-	ls.mu.Unlock()
-	if installed {
-		mClientPromotions.Inc()
-		s.t.log.Info("mirror promoted", "sid", s.sid, "list", li, "replica", cand.index, "url", cand.url)
-	}
-}
-
-// handoff re-pins the session for list li to its synced mirror after
-// the pinned replica failed, returning the new pin — or nil when no
-// synced mirror exists, in which case the caller surfaces the typed
-// OwnerFailedError. The failed replica is dropped from this session's
-// routing for good (its session state is stale or gone; were it to
-// serve a later exchange, cursors could advance twice). Because every
-// handoff permanently drops a replica, handoffs per list are bounded by
-// the replica set. A fresh mirror is then promoted from the new pin's
-// state, best-effort, so the session survives further deaths.
+// handoff re-pins the session for list li after its pinned replica
+// failed. The originator already holds the session's state at that list
+// — every sessionful response piggybacked its delta into the ledger —
+// so the handoff transfers it, range-compressed, to the next routable
+// sibling in one /session/sync, trying siblings in turn, and returns the
+// first that took it. nil means none did (flat list, handoff disabled,
+// every sibling gone), and the caller surfaces the typed
+// OwnerFailedError. The ledger holds only exchanges the originator saw
+// succeed, so the failed exchange is excluded whether or not the dead
+// pin applied it — re-sending it on the new pin advances no cursor
+// twice. The failed replica leaves this session's routing for good (its
+// state is stale or gone), so handoffs per list are bounded by the
+// replica set.
 func (s *httpSession) handoff(ctx context.Context, li int, failed *replica) *replica {
 	if s.t.noHandoff {
 		return nil
@@ -1731,33 +1666,45 @@ func (s *httpSession) handoff(ctx context.Context, li int, failed *replica) *rep
 	ls := &s.state[li]
 	ls.mu.Lock()
 	ls.open[failed.index] = false
-	next := ls.mirror
-	ls.mirror = nil
-	if next != nil && !ls.open[next.index] {
-		next = nil
-	}
-	if next != nil {
-		ls.pin = next
-	}
+	body := ls.ledger.syncBody(s.sid)
 	ls.mu.Unlock()
-	if next == nil {
-		return nil
+	tried := make([]bool, len(s.t.lists[li]))
+	for {
+		next := s.t.route(li, s.routable(li), tried)
+		if next == nil || ctx.Err() != nil {
+			return nil
+		}
+		tried[next.index] = true
+		sctx, cancel := context.WithTimeout(ctx, s.controlBound())
+		err := s.t.doJSON(sctx, next, http.MethodPost, "/session/sync", body, nil)
+		cancel()
+		if err == nil {
+			ls.mu.Lock()
+			ls.pin = next
+			ls.mu.Unlock()
+			s.handoffs.Add(1)
+			mClientHandoffs.Inc()
+			s.t.log.Info("session handoff", "sid", s.sid, "list", li,
+				"from", failed.url, "to", next.url)
+			return next
+		}
+		// The sibling did not take the state: demote it so routing avoids
+		// it (the prober revives it), and drop it from this session when
+		// a 404 says it restarted and lost the session outright.
+		s.noteFailed(li, next.index)
+		next.noteFailure()
+		s.t.noteHealth(next, false)
+		s.t.tripFailure(next)
+		s.t.log.Warn("handoff target failed", "sid", s.sid, "list", li, "replica", next.index, "url", next.url, "err", err)
+		var re *RemoteError
+		if errors.As(err, &re) && re.Status == http.StatusNotFound {
+			s.dropOpen(li, next.index)
+		}
 	}
-	s.handoffs.Add(1)
-	mClientHandoffs.Inc()
-	s.t.log.Info("session handoff", "sid", s.sid, "list", li,
-		"from", failed.url, "to", next.url)
-	s.promoteMirror(ctx, li)
-	return next
 }
 
-// recordAccess charges a successful exchange to the session's access
-// ledger (replicated topologies only — flat clusters report the owner's
-// own authoritative tally).
+// recordAccess folds a successful exchange into the session's ledger.
 func (s *httpSession) recordAccess(li int, req Request, resp Response) {
-	if !s.t.replicated {
-		return
-	}
 	ls := &s.state[li]
 	ls.mu.Lock()
 	ls.ledger.record(req, resp, s.t.n)
@@ -1809,16 +1756,16 @@ func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, bod
 //     sibling on transient failure (every replica holds the session, and
 //     a stateless request is by construction replayable);
 //   - sessionful requests go to the session's pinned replica; replayable
-//     ones (mark, topk) may be retried there, and every successful one
-//     syncs its state delta to the list's mirror sibling. A pin failure
-//     that persists — or any failure of a non-replayable probe/above —
-//     HANDS OFF: the session re-pins to the synced mirror and resumes,
-//     re-sending even the non-replayable request, which is safe because
-//     the mirror's state excludes the failed exchange either way (the
-//     pin never applied it, or applied it but is dropped for good so
-//     its advanced cursor is never observed again). Only when no synced
-//     mirror exists (flat list, handoff disabled, or every sibling
-//     gone) does the failure surface as OwnerFailedError.
+//     ones (mark, topk) may be retried there. A pin failure that
+//     persists — or any failure of a non-replayable probe/above — HANDS
+//     OFF: the session's client-held state moves to a sibling, which
+//     becomes the pin, and the request is re-sent there — safe even for
+//     the non-replayable kinds, because that state excludes the failed
+//     exchange either way (the pin never applied it, or applied it but
+//     is dropped for good so its advanced cursor is never observed
+//     again). Only when no sibling takes the state (flat list, handoff
+//     disabled, or every sibling gone) does the failure surface as
+//     OwnerFailedError.
 func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Response, err error) {
 	kind := req.Kind()
 	binary := s.t.binaryWire()
@@ -1928,9 +1875,6 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 				target.failovers.Add(1)
 			}
 			s.recordAccess(li, req, resp)
-			if sessionful {
-				s.syncMirror(ctx, li, resp)
-			}
 			return resp, nil
 		}
 		lastErr = err
@@ -1975,9 +1919,9 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 				continue // replayable: retry the pinned replica itself
 			}
 			// The pinned replica failed for good — or restarted and lost
-			// the cursors. Hand the session off to the synced mirror and
-			// resume there; without one, the failure poisons the session
-			// for this list.
+			// the cursors. Hand the session off to a sibling and resume
+			// there; with none left, the failure poisons the session for
+			// this list.
 			if next := s.handoff(ctx, li, target); next != nil {
 				target = next
 				failedOver = true
@@ -2088,71 +2032,35 @@ func (s *httpSession) DoAll(ctx context.Context, calls []Call) ([]Response, erro
 	return out, nil
 }
 
-// Stats reports an owner's bookkeeping for this session. In a flat
-// topology the single replica's tally is authoritative; in a replicated
-// one the exchanges were scattered across replicas by routing (and
-// possibly lost with a crashed one), so the access tally and scan depth
-// come from the session's client-side ledger — bit-identical to a
-// single-owner run by construction — while the remaining metadata comes
-// from the pinned (else first answering) replica.
-func (s *httpSession) Stats(ctx context.Context, owner int) (OwnerStats, error) {
+// Stats reports an owner's bookkeeping for this session without a
+// round-trip: accesses, scan depth and best position come from the
+// session's ledger — bit-identical to the owner's own tally on a flat
+// topology, and to a single-owner run on a replicated one whatever
+// routed or failed over — and the list metadata from the dial handshake
+// of the pinned replica (else any validated one).
+func (s *httpSession) Stats(_ context.Context, owner int) (OwnerStats, error) {
 	if err := s.t.checkOwner(owner); err != nil {
 		return OwnerStats{}, err
 	}
 	ls := &s.state[owner]
 	ls.mu.Lock()
+	st := ls.ledger.stats()
 	pin := ls.pin
-	led := ls.ledger
 	ls.mu.Unlock()
-
-	// Candidate order: the pinned replica knows the session's cursors;
-	// after it, prefer whatever route returns, then everything open.
-	var cands []*replica
-	seen := make([]bool, len(s.t.lists[owner]))
-	add := func(r *replica) {
-		if r != nil && !seen[r.index] {
-			seen[r.index] = true
-			cands = append(cands, r)
-		}
+	var info *OwnerStats
+	if pin != nil {
+		info = pin.info.Load()
 	}
-	add(pin)
-	add(s.t.route(owner, s.routable(owner), nil))
 	for _, r := range s.t.lists[owner] {
-		if s.routable(owner)[r.index] {
-			add(r)
+		if info == nil {
+			info = r.info.Load()
 		}
 	}
-
-	var st OwnerStats
-	var lastErr error
-	got := false
-	for _, r := range cands {
-		err := s.t.doJSON(ctx, r, http.MethodGet, "/stats?sid="+s.sid, nil, func(body io.Reader) error {
-			return json.NewDecoder(body).Decode(&st)
-		})
-		if err == nil {
-			got = true
-			break
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
+	if info == nil {
+		return OwnerStats{}, fmt.Errorf("transport: owner %d: no validated replica", owner)
 	}
-	if !got {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("transport: owner %d: no routable replica", owner)
-		}
-		return OwnerStats{}, lastErr
-	}
-	if s.t.replicated {
-		st.Accesses.Sorted = led.sorted
-		st.Accesses.Random = led.random
-		st.Accesses.Direct = led.direct
-		if led.depth > st.Depth {
-			st.Depth = led.depth
-		}
-	}
+	st.Index, st.N, st.M = info.Index, info.N, info.M
+	st.MinScore, st.Replica, st.Mutable = info.MinScore, info.Replica, info.Mutable
 	return st, nil
 }
 

@@ -175,8 +175,8 @@ type ProbeResp struct {
 	// tracks exhaustion and normally never probes an exhausted owner).
 	Empty bool `json:"empty,omitempty"`
 	// Pos is the position this probe marked seen (0 when Empty) — the
-	// session-state delta the replicated client mirrors to a sibling
-	// replica so the session survives the pinned replica's death.
+	// session-state delta the client holds, so a handoff can seed a
+	// sibling replica when the pinned replica dies.
 	// Recovery vocabulary, not protocol payload: it is excluded from
 	// ResponseScalars, so accounting stays identical across backends.
 	Pos int `json:"pos,omitempty"`
@@ -215,10 +215,10 @@ type MarkResp struct {
 	BestScore Upper   `json:"bestScore"`
 	Exhausted bool    `json:"exhausted,omitempty"`
 	// Pos is the position this mark recorded — the session-state delta
-	// the replicated client mirrors to a sibling replica (see
-	// ProbeResp.Pos). Excluded from ResponseScalars: the position itself
-	// stays at the owner in the paper's protocol, and the mirror delta
-	// must not perturb the payload accounting.
+	// the client holds for a handoff (see ProbeResp.Pos). Excluded from
+	// ResponseScalars: the position itself stays at the owner in the
+	// paper's protocol, and the recovery delta must not perturb the
+	// payload accounting.
 	Pos int `json:"pos,omitempty"`
 }
 

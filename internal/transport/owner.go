@@ -97,6 +97,16 @@ var ErrOverloaded = errors.New("owner overloaded")
 // cannot succeed.
 var ErrReadOnly = errors.New("owner list is read-only")
 
+// ErrNegativeScores reports a TPUT phase-1 request (TopKReq) refused
+// because the owner's list currently holds a negative score: TPUT's
+// missing-scores-are-zero bound and uniform threshold split assume
+// non-negative scores. The owner checks the floor of the list it is
+// about to read, so a mutable list driven negative by an update is
+// refused on the state it is queried in. The HTTP server answers 400
+// with the error's code, and the client maps it back (RemoteError), so
+// errors.Is matches it over every backend.
+var ErrNegativeScores = errors.New("list holds negative scores")
+
 // DefaultSessionTTL is the idle bound after which an owner may evict a
 // session: a session untouched for this long was abandoned by an
 // originator that never closed it (crash, network partition), and
@@ -566,35 +576,25 @@ func (o *Owner) SessionStats(sid string) (OwnerStats, error) {
 	return st, nil
 }
 
-// SyncSession applies a session-state delta mirrored from a sibling
-// replica: it marks the given positions (single positions and inclusive
-// [lo,hi] ranges) seen in the session's tracker and raises the scan
-// depth. Marking is idempotent and the depth merge is monotonic, so
-// replaying a sync — or receiving one the pinned replica already
-// applied — converges instead of corrupting state. Control-plane:
-// nothing here touches the access probe, so mirrored state never
-// perturbs the accounting the originator's ledger holds authoritative.
-func (o *Owner) SyncSession(sid string, positions []int, ranges [][2]int, depth int) error {
+// SyncSession installs the state of a session handed off from a failed
+// sibling replica: it marks the seen-position ranges ([lo,hi] inclusive)
+// in the session's tracker and raises the scan depth. The state is the
+// originator's own client-held copy — every sessionful response
+// piggybacks its delta — so it is exactly what the failed pin held as
+// of the last exchange the originator saw succeed. Marking is
+// idempotent and the depth merge monotonic, so a replayed sync
+// converges instead of corrupting state. Control-plane: nothing here
+// touches the access probe — the originator's ledger holds the
+// session's accounting.
+func (o *Owner) SyncSession(sid string, ranges [][2]int, depth int) error {
 	s, err := o.session(sid)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range positions {
-		if p >= 1 && p <= o.n {
-			s.tr.MarkSeen(p)
-		}
-	}
 	for _, rg := range ranges {
-		lo, hi := rg[0], rg[1]
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > o.n {
-			hi = o.n
-		}
-		for p := lo; p <= hi; p++ {
+		for p := max(rg[0], 1); p <= min(rg[1], o.n); p++ {
 			s.tr.MarkSeen(p)
 		}
 	}
@@ -603,37 +603,6 @@ func (o *Owner) SyncSession(sid string, positions []int, ranges [][2]int, depth 
 	}
 	mOwnerSessionSyncs.Inc()
 	return nil
-}
-
-// SessionState exports a session's replicable protocol state — the seen
-// positions compressed into inclusive [lo,hi] ranges, plus the scan
-// depth — so a freshly promoted mirror replica can be brought up to the
-// pinned replica's state in one SyncSession. The access tally is
-// deliberately absent: it is not replicable state (the originator's
-// ledger is authoritative in replicated topologies).
-func (o *Owner) SessionState(sid string) (ranges [][2]int, depth int, err error) {
-	s, err := o.session(sid)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	start := 0
-	for p := 1; p <= o.n; p++ {
-		switch {
-		case s.tr.Seen(p):
-			if start == 0 {
-				start = p
-			}
-		case start != 0:
-			ranges = append(ranges, [2]int{start, p - 1})
-			start = 0
-		}
-	}
-	if start != 0 {
-		ranges = append(ranges, [2]int{start, o.n})
-	}
-	return ranges, s.depth, nil
 }
 
 // Handle serves one request inside the given session. Exchanges of the
@@ -822,10 +791,16 @@ func (o *Owner) handleMark(s *ownerSession, req MarkReq) (Response, error) {
 	return MarkResp{Score: sc, BestScore: Upper(best), Exhausted: exhausted, Pos: p}, nil
 }
 
-// handleTopK serves TPUT phase 1: the owner reads its K best entries.
+// handleTopK serves TPUT phase 1: the owner reads its K best entries,
+// after refusing a list whose floor is negative (ErrNegativeScores). The
+// floor is list metadata, like OwnerStats.MinScore — not a charged
+// access.
 func (o *Owner) handleTopK(ctx context.Context, s *ownerSession, req TopKReq) (Response, error) {
 	if err := o.checkPos(req.K); err != nil {
 		return nil, err
+	}
+	if floor := o.db.List(0).At(o.n).Score; floor < 0 {
+		return nil, fmt.Errorf("transport: owner %d: list minimum %v: %w", o.index, floor, ErrNegativeScores)
 	}
 	out := make([]list.Entry, req.K)
 	for p := 1; p <= req.K; p++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,9 +27,10 @@ import (
 //     sibling when their replica dies mid-query;
 //   - sessionful exchanges (probe, mark, topk, above — anything that
 //     reads or advances a per-session cursor or tracker) pin the session
-//     to one replica per list; if that replica dies, the query fails
-//     fast with a typed OwnerFailedError instead of silently resuming on
-//     a replica whose cursors never advanced.
+//     to one replica per list; if that replica dies, the session hands
+//     its client-held state off to a sibling (http.go), and only with
+//     none left fails fast with a typed OwnerFailedError — never
+//     silently resuming on a replica whose cursors never advanced.
 
 // Topology maps every list to its replica set: Topology[i] holds the
 // base URLs of the owner processes serving list i. Every replica of a
@@ -67,8 +69,8 @@ func (tp Topology) Validate() error {
 }
 
 // Replicated reports whether any list has more than one replica — the
-// switch that arms session pinning, failover and the client-side access
-// ledger.
+// switch that arms the health prober and bounds session opens by a
+// sibling's ability to carry the session.
 func (tp Topology) Replicated() bool {
 	for _, reps := range tp {
 		if len(reps) > 1 {
@@ -127,10 +129,10 @@ func ParseRoutingPolicy(name string) (RoutingPolicy, error) {
 // OwnerFailedError reports a replica failing mid-query on traffic the
 // session could not move: sessionful exchanges (probe, above, mark,
 // topk, or a batch carrying one) live on the cursors and trackers of
-// the pinned replica, and when it dies the session hands off to its
-// synced mirror sibling. This error surfaces only when no synced mirror
-// exists — a flat single-replica list, handoff disabled, or every
-// sibling already failed. It names the list and the replica so an
+// the pinned replica, and when it dies the session hands its
+// client-held state off to a sibling. This error surfaces only when no
+// sibling takes it — a flat single-replica list, handoff disabled, or
+// every sibling already failed. It names the list and the replica so an
 // operator knows which process to look at; callers should rerun the
 // query (or let the dist restart driver do it) — a fresh session pins
 // to a live replica.
@@ -171,6 +173,9 @@ type replica struct {
 	// must not silently serve a different list.
 	validated atomic.Bool
 	healthy   atomic.Bool
+	// info is the list metadata of the replica's last passed shape
+	// handshake — the static half of a session's Stats.
+	info atomic.Pointer[OwnerStats]
 	// ewma holds the smoothed round-trip latency in nanoseconds, 0 until
 	// first measured. Updated from the dial handshake, health probes and
 	// every successful data-plane exchange (alpha 1/4).
@@ -441,7 +446,19 @@ func (t *HTTPClient) probeReplica(ctx context.Context, r *replica) {
 		t.noteHealth(r, false)
 		return
 	}
+	// A probe rides its own connection, closed after the reply: it runs
+	// beside the data plane, and a pooled probe connection would leave a
+	// second idle connection per replica behind every time the two
+	// overlapped. Its latency sample starts once that connection is up,
+	// so the dial every probe pays does not read as latency: an idle
+	// replica seen only through probes stays comparable, under
+	// RouteFastest, with a busy sibling measured on pooled connections.
+	req.Close = true
 	start := time.Now()
+	var dialed atomic.Int64 // time.Since(start) when the connection was ready
+	req = req.WithContext(httptrace.WithClientTrace(pctx, &httptrace.ClientTrace{
+		GotConn: func(httptrace.GotConnInfo) { dialed.Store(int64(time.Since(start))) },
+	}))
 	resp, err := t.hc.Do(req)
 	if err == nil {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
@@ -452,7 +469,7 @@ func (t *HTTPClient) probeReplica(ctx context.Context, r *replica) {
 	}
 	if err == nil && resp.StatusCode == http.StatusOK {
 		r.probeRecovered()
-		r.observe(time.Since(start))
+		r.observe(time.Since(start) - time.Duration(dialed.Load()))
 		t.noteHealth(r, true)
 		return
 	}
@@ -489,6 +506,7 @@ func (t *HTTPClient) validateReplica(ctx context.Context, r *replica) {
 		t.noteHealth(r, false)
 		return
 	}
+	r.info.Store(&st)
 	r.validated.Store(true)
 	r.probeRecovered()
 	r.observe(time.Since(start))

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -271,8 +272,8 @@ func TestStatelessFailover(t *testing.T) {
 // cursor-bearing traffic sticks to one replica; when that replica dies
 // the session fails fast with the typed error naming list and replica —
 // it must NOT resume on the sibling whose cursors never advanced. (With
-// handoff on — the default — the sibling mirrors the session state and
-// the death is absorbed; see TestSessionfulHandoff.)
+// handoff on — the default — the sibling takes over the client-held
+// session state and the death is absorbed; see TestSessionfulHandoff.)
 func TestSessionfulPinAndOwnerFailedError(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
 	srvA, err := NewServer(one, 0)
@@ -412,6 +413,71 @@ func TestHealthProber(t *testing.T) {
 	if hc.Health()[0].Latency <= 0 {
 		t.Error("no EWMA latency measured")
 	}
+}
+
+// TestFastestPicksIdleFasterSibling: health probes dial a fresh
+// connection every time, and that dial must not count as latency. A
+// busy replica is measured on pooled connections; an idle sibling is
+// measured only by probes. Once the idle sibling becomes the faster
+// one, RouteFastest must move to it, even when connecting costs far
+// more than the latency gap between the two.
+func TestFastestPicksIdleFasterSibling(t *testing.T) {
+	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 40, M: 1, Seed: 3})
+	delayed := func(d *atomic.Int64) string {
+		srv, err := NewServer(one, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(time.Duration(d.Load()))
+			srv.Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	var delayA, delayB atomic.Int64
+	delayA.Store(int64(5 * time.Millisecond))
+	delayB.Store(int64(30 * time.Millisecond)) // slower at dial: A takes the traffic
+	urlA, urlB := delayed(&delayA), delayed(&delayB)
+
+	slowDial := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			time.Sleep(20 * time.Millisecond)
+			return (&net.Dialer{}).DialContext(ctx, network, addr)
+		},
+	}}
+	hc, err := Dial(context.Background(), DialConfig{
+		Topology:       Topology{{urlA, urlB}},
+		Client:         slowDial,
+		Policy:         RouteFastest,
+		HealthInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hc.Close()
+	s, err := hc.Open(context.Background(), bestpos.BitArrayKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if r := hc.route(0, nil, nil); r == nil || r.index != 0 {
+		t.Fatalf("fastest routed to %v at dial, want replica A", r)
+	}
+
+	delayB.Store(0)
+	deadline := time.Now().Add(3 * time.Second)
+	for p := 0; time.Now().Before(deadline); p++ {
+		if _, err := s.Do(context.Background(), 0, SortedReq{Pos: p%one.N() + 1}); err != nil {
+			t.Fatal(err)
+		}
+		if hc.route(0, nil, nil).index == 1 {
+			return
+		}
+	}
+	h := hc.Health()
+	t.Fatalf("fastest never moved to the faster idle sibling: busy A %v, idle B %v",
+		h[0].Latency, h[1].Latency)
 }
 
 // TestDialToleratesDeadReplica: a replica that is down at dial time is
@@ -884,15 +950,15 @@ func TestRestartedReplicaFailsOver(t *testing.T) {
 	}
 
 	// Sessionful traffic pinned to a replica that restarts (session
-	// gone, 404 on every exchange) hands off to the mirroring sibling
-	// and resumes exactly where the dead pin left it.
+	// gone, 404 on every exchange) hands off to the sibling and resumes
+	// exactly where the dead pin left it.
 	s2, err := hc.Open(ctx, bestpos.BitArrayKind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	if _, err := s2.Do(ctx, 0, ProbeReq{}); err != nil {
-		t.Fatal(err) // pins to replica 0 (primary), mirrors to replica 1
+		t.Fatal(err) // pins to replica 0 (primary)
 	}
 	fresh2 := mkHandler()
 	gateA.h.Store(&fresh2)
@@ -911,9 +977,11 @@ func TestRestartedReplicaFailsOver(t *testing.T) {
 
 // TestSessionfulHandoff: with handoff on (the default), killing the
 // replica a session's cursor-bearing traffic is pinned to re-pins the
-// session to the sibling that mirrors its state — the query resumes
-// exactly where the dead pin left it, no cursor advances twice, and the
-// ledger accounting is identical to an undisturbed run.
+// session to a sibling seeded with the client-held state — the query
+// resumes exactly where the dead pin left it, no cursor advances twice,
+// and the ledger accounting is identical to an undisturbed run. Until
+// the pin dies the sibling receives no session state at all: the
+// handoff is the only state transfer.
 func TestSessionfulHandoff(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
 	srvA, err := NewServer(one, 0)
@@ -944,7 +1012,7 @@ func TestSessionfulHandoff(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	// Two probes pin to A; each synchronously mirrors its position to B.
+	// Two probes pin to A; the sibling hears nothing of them.
 	for i := 1; i <= 2; i++ {
 		resp, err := s.Do(ctx, 0, ProbeReq{})
 		if err != nil {
@@ -954,16 +1022,12 @@ func TestSessionfulHandoff(t *testing.T) {
 			t.Fatalf("probe %d = %+v", i, got)
 		}
 	}
-	// The mirror holds the state delta without being charged for it.
 	stB, err := srvB.Owner().SessionStats(s.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stB.Best != 2 {
-		t.Errorf("mirror best = %d, want 2 (positions 1,2 mirrored)", stB.Best)
-	}
-	if stB.Accesses.Total() != 0 {
-		t.Errorf("mirroring charged the sibling: %+v", stB.Accesses)
+	if stB.Best != 0 || stB.Accesses.Total() != 0 {
+		t.Errorf("sibling touched before any failure: best %d, accesses %+v", stB.Best, stB.Accesses)
 	}
 
 	// Kill the pin: the next probe hands off to B and resumes at 3.
@@ -993,8 +1057,21 @@ func TestSessionfulHandoff(t *testing.T) {
 	if rec.Handoffs != 1 || rec.FailedReplicas != 1 {
 		t.Errorf("recovery = %+v, want 1 handoff, 1 failed replica", rec)
 	}
+	// The new pin holds the handed-off positions 1,2 plus its own 3,4,
+	// and was charged only for what it served: the state transfer is
+	// uncharged.
+	stB, err = srvB.Owner().SessionStats(s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stB.Best != 4 {
+		t.Errorf("new pin best = %d, want 4 (positions 1,2 handed off, 3,4 probed)", stB.Best)
+	}
+	if stB.Accesses.Direct != 2 || stB.Accesses.Random != 1 || stB.Accesses.Sorted != 0 {
+		t.Errorf("the handoff charged the new pin: %+v, want direct=2 random=1", stB.Accesses)
+	}
 
-	// Kill the promoted pin too: nothing left to hand off to — the typed
+	// Kill the new pin too: nothing left to hand off to — the typed
 	// error names the replica that exhausted the session.
 	gateB := &flakyGate{inner: srvB.Handler()}
 	_ = gateB // tsB has no gate; close the server instead.
@@ -1009,7 +1086,7 @@ func TestSessionfulHandoff(t *testing.T) {
 	}
 }
 
-// TestHandoffDepthSync: the mirrored state includes the scan depth, so
+// TestHandoffDepthSync: the handed-off state includes the scan depth, so
 // a TPUT-style topk-then-above sequence split across a handoff answers
 // and accounts exactly like an undisturbed run against one owner.
 func TestHandoffDepthSync(t *testing.T) {
@@ -1065,7 +1142,7 @@ func TestHandoffDepthSync(t *testing.T) {
 		t.Fatalf("topk diverged before the kill: %+v vs %+v", k1, ck1)
 	}
 	// Kill the pin between phases: the above must resume at depth 3 on
-	// the mirror, not rescan from the top.
+	// the sibling, not rescan from the top.
 	gateA.dead.Store(true)
 	theta := one.List(0).At(10).Score
 	a1, err := s.Do(ctx, 0, AboveReq{T: theta})
@@ -1093,10 +1170,11 @@ func TestHandoffDepthSync(t *testing.T) {
 	}
 }
 
-// TestMirrorPromotionAfterMirrorDeath: when the MIRROR dies, the pin
-// promotes a fresh sibling by copying the full session state to it — so
-// a later pin death still hands off losslessly.
-func TestMirrorPromotionAfterMirrorDeath(t *testing.T) {
+// TestHandoffSkipsDeadSibling: when the first sibling a handoff tries
+// is dead too, the handoff moves on to the next one — which takes the
+// full client-held state and resumes at the right position — and both
+// failed replicas are tallied.
+func TestHandoffSkipsDeadSibling(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 80, M: 1, Seed: 9})
 	mkGate := func() *flakyGate {
 		srv, err := NewServer(one, 0)
@@ -1106,15 +1184,13 @@ func TestMirrorPromotionAfterMirrorDeath(t *testing.T) {
 		return &flakyGate{inner: srv.Handler()}
 	}
 	gates := []*flakyGate{mkGate(), mkGate(), mkGate()}
-	var topo Topology
 	var urls []string
 	for _, g := range gates {
 		ts := httptest.NewServer(g)
 		defer ts.Close()
 		urls = append(urls, ts.URL)
 	}
-	topo = Topology{urls}
-	hc, err := Dial(context.Background(), DialConfig{Topology: topo, HealthInterval: -1})
+	hc, err := Dial(context.Background(), DialConfig{Topology: Topology{urls}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1126,27 +1202,27 @@ func TestMirrorPromotionAfterMirrorDeath(t *testing.T) {
 	}
 	defer s.Close()
 
-	// Pin to replica 0, mirror on replica 1.
+	// Pin to replica 0 (primary).
 	for i := 1; i <= 2; i++ {
 		if _, err := s.Do(ctx, 0, ProbeReq{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Kill the mirror. The next exchange succeeds on the pin, notices the
-	// failed sync, and promotes replica 2 with a full state copy.
+	// Kill replica 1, the first sibling in routing order. The pin is
+	// unaffected: the next exchange succeeds without touching it.
 	gates[1].dead.Store(true)
 	if _, err := s.Do(ctx, 0, ProbeReq{}); err != nil {
-		t.Fatalf("probe with dead mirror: %v", err)
+		t.Fatalf("probe with a dead sibling: %v", err)
 	}
-	// Now kill the pin: the handoff lands on the promoted replica 2 and
-	// resumes at position 4 — proof the full-state copy carried 1..3.
+	// Now kill the pin: the handoff fails on replica 1, lands on replica
+	// 2 and resumes at position 4 — proof the transfer carried 1..3.
 	gates[0].dead.Store(true)
 	resp, err := s.Do(ctx, 0, ProbeReq{})
 	if err != nil {
-		t.Fatalf("probe after pin death did not hand off to the promoted mirror: %v", err)
+		t.Fatalf("probe after pin death did not hand off past the dead sibling: %v", err)
 	}
 	if got := resp.(ProbeResp).Entry; got != one.List(0).At(4) {
-		t.Errorf("probe after promotion+handoff = %+v, want position 4", got)
+		t.Errorf("probe after handoff = %+v, want position 4", got)
 	}
 	rec := s.(*httpSession).Recovery()
 	if rec.Handoffs != 1 || rec.FailedReplicas != 2 {

@@ -1252,6 +1252,53 @@ func TestBatchWithProbeNotRetried(t *testing.T) {
 	}
 }
 
+// TestSyncRefusesPositionsDelta: /session/sync takes a session's state
+// as {sid, ranges, depth}. The per-exchange mirror delta of older
+// originators, {sid, positions, depth}, must be refused with a 400 and
+// install nothing, not be accepted with its positions dropped.
+func TestSyncRefusesPositionsDelta(t *testing.T) {
+	db := testDB(t)
+	srv, err := NewServer(db, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Owner().Open("s", bestpos.BitArrayKind); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/session/sync", ContentTypeJSON, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	state := func() (best, depth int) {
+		t.Helper()
+		st, err := srv.Owner().SessionStats("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Best, st.Depth
+	}
+
+	if code := post(`{"sid":"s","positions":[1,2],"depth":2}`); code != http.StatusBadRequest {
+		t.Errorf("old positions delta: status %d, want 400", code)
+	}
+	if best, depth := state(); best != 0 || depth != 0 {
+		t.Errorf("refused sync installed state: best %d depth %d, want 0 0", best, depth)
+	}
+	if code := post(`{"sid":"s","ranges":[[1,2]],"depth":2}`); code != http.StatusOK {
+		t.Fatalf("ranges sync: status %d, want 200", code)
+	}
+	if best, depth := state(); best != 2 || depth != 2 {
+		t.Errorf("ranges sync installed best %d depth %d, want 2 2", best, depth)
+	}
+}
+
 // TestServerRejectsBadRequests: the handler maps malformed input to 4xx.
 func TestServerRejectsBadRequests(t *testing.T) {
 	db := testDB(t)
