@@ -15,7 +15,6 @@ package topk
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -630,39 +629,9 @@ func (s *recordingSession) DoAll(ctx context.Context, calls []transport.Call) ([
 	return resps, err
 }
 
-// encodeTraceJSON runs one query's wire trace through the JSON codec
+// encodeTraceBinary runs one query's wire trace through the codec
 // (encode requests and responses, decode responses — the originator's
 // hot path) and returns the total wire bytes.
-func encodeTraceJSON(b *testing.B, reqs []transport.Request, resps []transport.Response) int64 {
-	var total int64
-	for _, req := range reqs {
-		buf, err := json.Marshal(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += int64(len(buf))
-	}
-	for i, resp := range resps {
-		buf, err := json.Marshal(resp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += int64(len(buf))
-		kind := reqs[i].Kind()
-		if kind == transport.KindBatch {
-			var back transport.BatchResp
-			err = json.Unmarshal(buf, &back)
-		} else {
-			_, err = transport.UnmarshalResponseJSON(kind, buf)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	return total
-}
-
-// encodeTraceBinary is the binary-codec mirror of encodeTraceJSON.
 func encodeTraceBinary(b *testing.B, reqs []transport.Request, resps []transport.Response) int64 {
 	var total int64
 	var buf []byte
@@ -688,12 +657,11 @@ func encodeTraceBinary(b *testing.B, reqs []transport.Request, resps []transport
 	return total
 }
 
-// BenchmarkCodec compares the two wire codecs on whole-query message
-// traces: each seeded protocol run is recorded post-coalescing (batches
-// included), then every recorded message is encoded — and every response
-// decoded — under JSON and under the binary codec. wire-bytes/query is
-// the metric the binary codec exists for; run with -benchmem for the
-// allocation delta of the encode/decode hot path.
+// BenchmarkCodec measures the wire codec on whole-query message traces:
+// each seeded protocol run is recorded post-coalescing (batches
+// included), then every recorded message is encoded and every response
+// decoded. It reports wire-bytes/query; run with -benchmem for the
+// allocations of the encode/decode hot path.
 func BenchmarkCodec(b *testing.B) {
 	db := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: benchN(20_000), M: 6, Seed: 1})
 	ctx := context.Background()
@@ -715,85 +683,15 @@ func BenchmarkCodec(b *testing.B) {
 		if _, err := p.run(ctx, rec, dist.Options{K: 20, Scoring: score.Sum{}}); err != nil {
 			b.Fatal(err)
 		}
-		codecs := []struct {
-			name string
-			run  func(*testing.B, []transport.Request, []transport.Response) int64
-		}{
-			{"json", encodeTraceJSON},
-			{"binary", encodeTraceBinary},
-		}
-		for _, c := range codecs {
-			b.Run(p.name+"/"+c.name, func(b *testing.B) {
-				b.ReportAllocs()
-				var bytes int64
-				for i := 0; i < b.N; i++ {
-					bytes = c.run(b, rec.reqs, rec.resps)
-				}
-				b.ReportMetric(float64(bytes), "wire-bytes/query")
-				b.ReportMetric(float64(len(rec.reqs)), "exchanges/query")
-			})
-		}
-	}
-}
-
-// TestBinaryCodecQueryBytes pins the acceptance bound on the seeded
-// workloads themselves: for every protocol, a whole query's wire traffic
-// must shrink by at least 40% under the binary codec. Deterministic —
-// the traces are seeded.
-func TestBinaryCodecQueryBytes(t *testing.T) {
-	db, err := Generate(GenSpec{Kind: GenUniform, N: 2_000, M: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	runs := []struct {
-		name string
-		run  func(context.Context, transport.Transport, dist.Options) (*dist.Result, error)
-	}{
-		{"dist-ta", dist.TAOver},
-		{"dist-bpa", dist.BPAOver},
-		{"dist-bpa2", dist.BPA2Over},
-		{"tput", dist.TPUTOver},
-		{"tput-a", dist.TPUTAOver},
-	}
-	for _, p := range runs {
-		lb, err := transport.NewLoopback(db.db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := &recordingTransport{Transport: lb}
-		if _, err := p.run(ctx, rec, dist.Options{K: 10, Scoring: score.Sum{}}); err != nil {
-			t.Fatal(err)
-		}
-		var jsonBytes, binBytes int64
-		for i, req := range rec.reqs {
-			js, err := json.Marshal(req)
-			if err != nil {
-				t.Fatal(err)
+		b.Run(p.name+"/binary", func(b *testing.B) {
+			b.ReportAllocs()
+			var bytes int64
+			for i := 0; i < b.N; i++ {
+				bytes = encodeTraceBinary(b, rec.reqs, rec.resps)
 			}
-			bin, err := transport.AppendRequestBinary(nil, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsonBytes += int64(len(js))
-			binBytes += int64(len(bin))
-			js, err = json.Marshal(rec.resps[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			bin, err = transport.AppendResponseBinary(nil, rec.resps[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsonBytes += int64(len(js))
-			binBytes += int64(len(bin))
-		}
-		if float64(binBytes) > 0.6*float64(jsonBytes) {
-			t.Errorf("%s: binary wire %d bytes vs JSON %d — less than 40%% smaller", p.name, binBytes, jsonBytes)
-		} else {
-			t.Logf("%s: binary %d bytes, JSON %d bytes (%.0f%% smaller)",
-				p.name, binBytes, jsonBytes, 100*(1-float64(binBytes)/float64(jsonBytes)))
-		}
+			b.ReportMetric(float64(bytes), "wire-bytes/query")
+			b.ReportMetric(float64(len(rec.reqs)), "exchanges/query")
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"strings"
-	"sync"
 	"time"
 
 	"topk/internal/bestpos"
@@ -680,9 +679,6 @@ type ClusterConfig struct {
 	BreakerThreshold int
 	// BreakerCooldown is the first open interval (default 1s).
 	BreakerCooldown time.Duration
-	// Wire selects the data-plane codec: "" or "auto" (binary when every
-	// owner advertises it), "json", "binary". See Cluster.SetWire.
-	Wire string
 	// Restart is the default restart policy of this cluster's queries:
 	// when a query dies on a failing replica, rerun it from scratch on
 	// the survivors instead of surfacing the error. Default RestartOff.
@@ -729,47 +725,17 @@ type Cluster struct {
 	// defaults are the dial-time per-query settings (restart policy and
 	// budget from ClusterConfig) that ExecOptions override.
 	defaults execSettings
-	// mu serializes the SetWire guard against the first Exec: check and
-	// set must be one step, or a SetWire racing the first query could
-	// slip past ErrClusterStarted and flip the codec mid-flight.
-	mu      sync.Mutex
-	started bool
-}
-
-// markStarted records that a query has run; SetWire refuses afterwards.
-func (c *Cluster) markStarted() {
-	c.mu.Lock()
-	c.started = true
-	c.mu.Unlock()
-}
-
-// parseWireFormat maps the ClusterConfig/SetWire wire names onto the
-// transport's codec selector.
-func parseWireFormat(format string) (transport.WireFormat, error) {
-	switch format {
-	case "", "auto":
-		return transport.WireAuto, nil
-	case "json":
-		return transport.WireJSON, nil
-	case "binary", "bin":
-		return transport.WireBinary, nil
-	default:
-		return 0, fmt.Errorf("topk: unknown wire format %q (want auto, json or binary)", format)
-	}
 }
 
 // DialClusterConfig connects to the owner processes of a declarative
 // cluster topology. The dial handshake — bounded by ctx — validates
-// every reachable replica (list index, list length, cluster width) and
-// negotiates the wire codec; replicas that are down at dial time are
+// every reachable replica (list index, list length, cluster width, and
+// the binary data-plane codec, which every owner must advertise);
+// replicas that are down at dial time are
 // tolerated as long as each list has at least one reachable replica,
 // and revived by the background health prober when they return. Close
 // the returned cluster to stop the prober and release connections.
 func DialClusterConfig(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
-	wire, err := parseWireFormat(cfg.Wire)
-	if err != nil {
-		return nil, err
-	}
 	t, err := transport.Dial(ctx, transport.DialConfig{
 		Topology:         cfg.Topology,
 		Policy:           transport.RoutingPolicy(cfg.Policy),
@@ -780,7 +746,6 @@ func DialClusterConfig(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 		BackoffCap:       cfg.BackoffCap,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,
-		Wire:             wire,
 		DisableHandoff:   cfg.DisableHandoff,
 		Logger:           cfg.Logger,
 	})
@@ -801,10 +766,8 @@ func DialClusterConfig(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 // request is bounded by a per-request timeout and — when replaying it
 // cannot change what the query observes — retried once on transient
 // failures (connection errors, 5xx), with the failing owner named in
-// the returned error.
-//
-// The dial handshake also negotiates the wire codec: the compact binary
-// codec when every owner advertises it, JSON otherwise (see SetWire).
+// the returned error. Every exchange travels in the binary wire codec,
+// and an owner whose handshake does not advertise it fails the dial.
 // For replicated lists, routing policies and mid-query failover, see
 // DialClusterConfig.
 func DialCluster(owners []string) (*Cluster, error) {
@@ -813,32 +776,6 @@ func DialCluster(owners []string) (*Cluster, error) {
 		topo[i] = []string{o}
 	}
 	return DialClusterConfig(context.Background(), ClusterConfig{Topology: topo})
-}
-
-// ErrClusterStarted reports a SetWire call after the cluster already
-// executed a query. The wire preference is client state shared by every
-// session, so flipping it under in-flight queries would be a data race
-// on the encoding path; set it before the first Exec, or declare it in
-// ClusterConfig.Wire.
-var ErrClusterStarted = errors.New("topk: SetWire after the cluster executed a query; set the wire before the first Exec (or use ClusterConfig.Wire)")
-
-// SetWire overrides the cluster's negotiated wire codec: "auto" (the
-// default — binary when every owner advertises it), "json" (the
-// debugging fallback), or "binary" (forced). Call it before the first
-// Exec — afterwards it fails with ErrClusterStarted; answers and
-// accounting are identical either way, only bytes on the wire differ.
-func (c *Cluster) SetWire(format string) error {
-	wf, err := parseWireFormat(format)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started {
-		return ErrClusterStarted
-	}
-	c.t.SetWireFormat(wf)
-	return nil
 }
 
 // N returns the shared list length of the cluster.
@@ -899,7 +836,6 @@ func (c *Cluster) Health() []ReplicaHealth {
 // WithTimeout). Item names are left empty: the originator holds no
 // dictionary.
 func (c *Cluster) Exec(ctx context.Context, q Query, protocol Protocol, opts ...ExecOption) (*DistResult, error) {
-	c.markStarted()
 	return runOver(ctx, c.t, q, protocol, nil, resolveExec(c.defaults, opts))
 }
 
@@ -950,7 +886,6 @@ type UpdateAck struct {
 // Owners serving read-only lists reject updates — start them with
 // updates enabled (topk-owner -mutable).
 func (c *Cluster) SendUpdate(ctx context.Context, owner int, feed string, seq uint64, updates []ScoreUpdate) (UpdateAck, error) {
-	c.markStarted()
 	ups := make([]transport.ScoreUpdate, len(updates))
 	for i, u := range updates {
 		ups[i] = transport.ScoreUpdate{Item: list.ItemID(u.Item), Delta: u.Delta}

@@ -118,7 +118,7 @@
 //	Concurrent  per-owner goroutines        max over owners per fan-out,
 //	            + injectable latency model  virtual clock, no sleeping
 //	HTTP        real owner servers,         real network time
-//	            binary or JSON wire
+//	            binary wire codec
 //
 // Under the Concurrent backend a protocol round costs its slowest
 // owner, not the sum of all owners, which is what makes the round
@@ -128,7 +128,7 @@
 // 1ms/10ms/50ms per exchange; BenchmarkConcurrentSessions measures
 // queries/sec as concurrent originators grow).
 //
-// # Round coalescing and the wire codecs
+// # Round coalescing and the wire codec
 //
 // The transport hot path is coalesced per round: all the logical
 // messages a protocol round sends to one owner travel as a single
@@ -142,24 +142,14 @@
 // metrics), while DistStats.Exchanges counts the wire round-trips a
 // deployment actually pays.
 //
-// On the HTTP backend each exchange travels in one of two codecs,
-// negotiated at dial time via Content-Type: a length-prefixed
-// little-endian binary encoding (the default whenever every owner
-// advertises it in the handshake, and the only wire that carries the
-// +Inf best-position piggyback natively), with JSON retained as the
-// fallback for old owners and for debugging (Cluster.SetWire,
-// topk-query -wire json). Measured on the seeded uniform workload
-// (n=2000, m=4, k=10), whole-query wire traffic shrinks by 58-73%:
-//
-//	protocol   JSON bytes/query   binary bytes/query   reduction
-//	dist-ta        438,370            141,984             68%
-//	dist-bpa       583,270            156,672             73%
-//	dist-bpa2      289,880            121,024             58%
-//	tput           244,164             72,412             70%
-//
-// (BenchmarkCodec regenerates these per protocol; answers and all
-// accounting are bit-identical across codecs and backends — the parity
-// suite pins both wires.)
+// On the HTTP backend every exchange travels in one codec: a
+// length-prefixed little-endian binary frame per message, with scores
+// as raw IEEE-754 bits, so the +Inf best-position piggyback and every
+// list score cross the wire bit-exactly. Every owner advertises the
+// codec in its dial handshake, and a client refuses an owner that does
+// not. The paper's accounting counts messages and accesses, never
+// bytes, so the codec moves no answer and no count; BenchmarkCodec
+// reports the wire bytes per query of each protocol.
 //
 // The HTTP backend is a real cluster: cmd/topk-owner serves one list
 // per process, and DialCluster (or topk-query -owners) drives the same
@@ -327,13 +317,18 @@
 //	                          X-Topk-Retry-After-Ms BEFORE any     tallied in
 //	                          work, so a re-send is always safe    Recovery.Backpressure
 //
-// Third-party clients of the owner wire get the same contract: a 429
-// carries X-Topk-Retry-After-Ms (milliseconds to wait; the owner has
-// contractually run none of the request, so re-sending is safe for
-// every message kind, cursor-bearing or not); requests may carry
-// X-Topk-Budget-Ms (relative milliseconds the client will keep
-// waiting); data-plane responses carry X-Topk-Frame-Crc (IEEE CRC-32
-// of the body, lower-case hex) to verify before decoding.
+// Third-party clients of the owner wire get the same contract. A
+// data-plane request is POST /rpc/{kind}?sid=... with Content-Type
+// application/x-topk-binary and one binary frame as its body: a 1-byte
+// kind code, a 4-byte little-endian payload length, then the payload
+// (internal/transport/codec.go); any other Content-Type is refused with
+// 415 before any work. The response is one frame of the same layout
+// and carries X-Topk-Frame-Crc (IEEE CRC-32 of the body, lower-case
+// hex) to verify before decoding. A 429 carries X-Topk-Retry-After-Ms
+// (milliseconds to wait; the owner has contractually run none of the
+// request, so re-sending is safe for every message kind, cursor-bearing
+// or not). Requests may carry X-Topk-Budget-Ms (relative milliseconds
+// the client will keep waiting). Error bodies are JSON.
 //
 // The fault injector itself ships in the tree (internal/chaos): a
 // seeded, deterministic schedule of delays, drops, stalls, truncated
@@ -389,11 +384,11 @@
 // prefixed topk_ (full details atop internal/transport/metrics.go):
 //
 //	topk_owner_exchanges_total{kind} / _exchange_seconds{kind} / _exchange_errors_total{kind}
-//	topk_owner_wire_bytes_total{codec,direction}
+//	topk_owner_wire_bytes_total{codec="binary",direction}
 //	topk_owner_sessions_open / _opened_total / _closed_total / _evicted_total
 //	topk_owner_session_syncs_total (handoff state transfers installed)
 //	topk_client_exchanges_total{kind} / _exchange_seconds{kind} / _exchange_errors_total{kind}
-//	topk_client_wire_bytes_total{codec,direction} / _exchange_bytes
+//	topk_client_wire_bytes_total{codec="binary",direction} / _exchange_bytes
 //	topk_client_retries_total / _failovers_total / _handoffs_total
 //	topk_client_conns_dialed_total (new TCP connections: flat across queries under keep-alive, one per health probe)
 //	topk_client_replica_failures_total / _health_transitions_total{to}

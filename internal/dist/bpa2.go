@@ -71,7 +71,7 @@ func BPA2Over(ctx context.Context, t transport.Transport, opts Options) (*Result
 			if err != nil {
 				return nil, err
 			}
-			bestScore[i], exhausted[i] = float64(pr.BestScore), pr.Exhausted
+			bestScore[i], exhausted[i] = pr.BestScore, pr.Exhausted
 			if pr.Empty {
 				continue // defensive: owner had nothing left to probe
 			}
@@ -94,7 +94,7 @@ func BPA2Over(ctx context.Context, t transport.Transport, opts Options) (*Result
 				if err != nil {
 					return nil, err
 				}
-				bestScore[j], exhausted[j] = float64(mr.BestScore), mr.Exhausted
+				bestScore[j], exhausted[j] = mr.BestScore, mr.Exhausted
 				locals[j] = mr.Score
 			}
 			r.y.Add(pr.Entry.Item, r.f.Combine(locals))

@@ -97,7 +97,7 @@ func TestTraceSpanInvariants(t *testing.T) {
 						if sp.ReqBytes != 0 || sp.RespBytes != 0 {
 							t.Errorf("span %d: in-process span carries wire bytes %d/%d", i, sp.ReqBytes, sp.RespBytes)
 						}
-					default: // http, http-json
+					default: // http
 						if sp.Replica < 0 || sp.URL == "" {
 							t.Errorf("span %d: HTTP span missing replica/url: %+v", i, sp)
 						}

@@ -36,8 +36,7 @@ var overProtocols = []struct {
 
 // backends builds one instance of every transport backend over the same
 // database: Loopback, Concurrent under a latency model, and HTTP against
-// httptest owner servers — once under the negotiated binary wire codec
-// and once forced to the JSON fallback, so parity pins both wires.
+// httptest owner servers.
 func backends(t *testing.T, db *list.Database) map[string]transport.Transport {
 	t.Helper()
 	lb, err := transport.NewLoopback(db)
@@ -49,11 +48,8 @@ func backends(t *testing.T, db *list.Database) map[string]transport.Transport {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cc.Close() })
-	hc := httpCluster(t, db)
-	hcJSON := httpCluster(t, db)
-	hcJSON.SetWireFormat(transport.WireJSON)
 	return map[string]transport.Transport{
-		"loopback": lb, "concurrent": cc, "http": hc, "http-json": hcJSON,
+		"loopback": lb, "concurrent": cc, "http": httpCluster(t, db),
 	}
 }
 
@@ -101,7 +97,7 @@ func TestBackendsBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/loopback: %v", dbName, p.name, err)
 				}
-				for _, backend := range []string{"concurrent", "http", "http-json"} {
+				for _, backend := range []string{"concurrent", "http"} {
 					t.Run(fmt.Sprintf("%s/%s/k=%d/%s", dbName, p.name, k, backend), func(t *testing.T) {
 						got, err := p.run(ctx, bks[backend], opts)
 						if err != nil {

@@ -36,36 +36,28 @@ import (
 //	                     state on the sibling a handoff re-pins it to
 //	                     {sid, ranges, depth}; idempotent, never charged
 //	POST /rpc/{kind}?sid=...  one exchange; body and response are the
-//	                     message structs of this package, encoded by the
-//	                     negotiated wire codec (kind "batch" carries a
+//	                     message structs of this package as binary
+//	                     frames (codec.go; kind "batch" carries a
 //	                     coalesced round for this owner)
-//	GET  /stats?sid=...  control-plane: the session's OwnerStats;
-//	                     without sid, the owner's list metadata
-//	                     (the dial handshake, which also advertises the
-//	                     wire codecs the owner speaks and the owner's
-//	                     replica identity)
+//	GET  /stats          control-plane: the owner's list metadata (the
+//	                     dial handshake, which also advertises the
+//	                     binary codec and the owner's replica identity);
+//	                     with ?sid= it answers 410, since session stats
+//	                     are held by the client
 //	POST /filter/set     live control-plane: install one standing
 //	                     query's notification filter {query, slack,
 //	                     watch} (see Owner.SetFilter)
 //	POST /filter/clear   live control-plane: remove a filter {query}
-//	POST /reset          deprecated no-op, kept for pre-session clients
 //	GET  /healthz        liveness — also what the client's background
 //	                     health prober polls in replicated topologies
 //
-// The /rpc data plane speaks two codecs, negotiated via Content-Type:
-// the length-prefixed little-endian binary codec (codec.go) is the
-// default whenever every owner advertises it in the dial handshake, and
-// JSON remains the fallback for old owners and the debugging surface
-// (HTTPClient.SetWireFormat). The server answers in the codec the
-// request arrived in, so one owner serves binary and JSON clients at
-// once; error payloads are always JSON. encoding/json renders float64s
-// in their shortest round-tripping form and the binary codec ships raw
-// IEEE-754 bits, so scores survive either wire bit-identically and the
-// parity suite can hold HTTP to the same answers and accounting as the
-// in-process backends. Non-finite list scores are not supported on the
-// JSON codec (JSON has no infinities); the +Inf best-position
-// piggyback, which is protocol vocabulary rather than list data, is
-// handled there by Upper — the binary codec carries it natively.
+// The /rpc data plane speaks one codec, the length-prefixed
+// little-endian binary frames of codec.go, under ContentTypeBinary; any
+// other request body is refused with 415. Error payloads and the
+// control plane are JSON. The frames ship raw IEEE-754 bits, so scores
+// (the +Inf best-position piggyback included) cross the wire
+// bit-identically and the parity suite can hold HTTP to the same
+// answers and accounting as the in-process backends.
 //
 // The client side dials a Topology rather than a flat URL list: every
 // list may be served by several replica owner processes (topology.go).
@@ -94,7 +86,6 @@ func NewServer(db *list.Database, index int) (*Server, error) {
 	s.mux.HandleFunc("/session/sync", s.handleSync)
 	s.mux.HandleFunc("/filter/set", s.handleFilterSet)
 	s.mux.HandleFunc("/filter/clear", s.handleFilterClear)
-	s.mux.HandleFunc("/reset", s.handleReset)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	// The process-wide metrics registry: Prometheus text exposition by
@@ -197,18 +188,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	sid := r.URL.Query().Get("sid")
-	if sid == "" {
-		// The dial handshake: list metadata, no session state.
-		writeJSON(w, http.StatusOK, s.owner.Info())
+	if r.URL.Query().Get("sid") != "" {
+		// Session stats are held by the client, in its ledger.
+		writeError(w, http.StatusGone, "transport: session stats are client-held; GET /stats without sid is the dial handshake")
 		return
 	}
-	st, err := s.owner.SessionStats(sid)
-	if err != nil {
-		writeOwnerError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	// The dial handshake: list metadata, no session state.
+	writeJSON(w, http.StatusOK, s.owner.Info())
 }
 
 // statusFor maps an owner error to its HTTP status: unknown sessions
@@ -364,21 +350,6 @@ func (s *Server) handleFilterClear(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReset is the pre-session control plane: it used to wipe the
-// owner's single global query session. Owner state is keyed by session
-// ID now, so there is nothing to reset. The endpoint stays as an
-// acknowledged no-op so old control planes don't hard-fail on 404 —
-// their data-plane calls still get a clear "missing sid" 400 telling
-// them to upgrade; it never touches live sessions.
-func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(r.Body, 4096))
-	writeJSON(w, http.StatusOK, map[string]string{"status": "deprecated no-op; sessions are keyed by sid"})
-}
-
 // maxRPCBody bounds a data-plane request body. Generous: the largest
 // legitimate request is a TPUT phase-3 fetch of every item.
 const maxRPCBody = 16 << 20
@@ -417,6 +388,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		return
+	}
+	if ct := r.Header.Get("Content-Type"); ct != ContentTypeBinary {
+		writeError(w, http.StatusUnsupportedMediaType,
+			"transport: /rpc bodies must be %s frames, got Content-Type %q", ContentTypeBinary, ct)
 		return
 	}
 	sid := r.URL.Query().Get("sid")
@@ -460,19 +436,9 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "transport: request body exceeds %d bytes", maxRPCBody)
 		return
 	}
-	// The request's Content-Type selects the codec; the response mirrors
-	// it, so binary and JSON clients share one owner. Errors are always
-	// JSON — they are control-plane, and the client's error path predates
-	// the binary codec.
-	binaryWire := r.Header.Get("Content-Type") == ContentTypeBinary
-	var req Request
-	if binaryWire {
-		req, err = DecodeRequestBinary(body)
-		if err == nil && req.Kind() != kind {
-			err = fmt.Errorf("transport: frame kind %q does not match path kind %q", req.Kind(), kind)
-		}
-	} else {
-		req, err = decodeRequestJSON(kind, body)
+	req, err := DecodeRequestBinary(body)
+	if err == nil && req.Kind() != kind {
+		err = fmt.Errorf("transport: frame kind %q does not match path kind %q", req.Kind(), kind)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -484,7 +450,7 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	// handler exactly as before.
 	served := false
 	defer func() {
-		mOwnerWireBytes.add(binaryWire, int64(len(body)), cw.n)
+		mOwnerWireBytes.add(int64(len(body)), cw.n)
 		if !served {
 			if c := mOwnerExchangeErrs[kind]; c != nil {
 				c.Inc()
@@ -505,63 +471,15 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	}
 	out := getBuf()
 	defer putBuf(out)
-	var enc []byte
-	ct := ContentTypeJSON
-	if binaryWire {
-		enc, err = AppendResponseBinary(*out, resp)
-		ct = ContentTypeBinary
-	} else {
-		enc, err = json.Marshal(resp)
-	}
+	enc, err := AppendResponseBinary(*out, resp)
 	*out = enc
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "transport: encode response: %v", err)
 		return
 	}
 	served = true
-	writeFrame(w, ct, enc)
+	writeFrame(w, ContentTypeBinary, enc)
 }
-
-// decodeRequestJSON unmarshals the JSON body of a /rpc/{kind} call.
-// Batches are handled here (one nesting level); the shared per-kind
-// table rejects nested ones.
-func decodeRequestJSON(kind Kind, body []byte) (Request, error) {
-	if kind == KindBatch {
-		var req BatchReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, fmt.Errorf("transport: bad request body: %w", err)
-		}
-		return req, nil
-	}
-	return UnmarshalRequestJSON(kind, body)
-}
-
-// decodeResponseJSON unmarshals the JSON response of a /rpc/{kind} call.
-func decodeResponseJSON(kind Kind, body []byte) (Response, error) {
-	if kind == KindBatch {
-		var resp BatchResp
-		if err := json.Unmarshal(body, &resp); err != nil {
-			return nil, fmt.Errorf("transport: bad message body: %w", err)
-		}
-		return resp, nil
-	}
-	return UnmarshalResponseJSON(kind, body)
-}
-
-// WireFormat selects the /rpc data-plane codec of an HTTPClient.
-type WireFormat uint8
-
-const (
-	// WireAuto uses the binary codec when every owner advertised it in
-	// the dial handshake, JSON otherwise. The default.
-	WireAuto WireFormat = iota
-	// WireJSON forces the JSON codec — the debugging surface, and the
-	// escape hatch for owners that mis-advertise.
-	WireJSON
-	// WireBinary forces the binary codec even against owners that did
-	// not advertise it (their requests will fail with 400s).
-	WireBinary
-)
 
 // DialConfig is the declarative shape of a cluster connection: the
 // replica topology, the routing policy, the health-check cadence and the
@@ -605,8 +523,6 @@ type DialConfig struct {
 	// BreakerCooldown is the first open interval. 0 means
 	// DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// Wire selects the data-plane codec. Default WireAuto.
-	Wire WireFormat
 	// DisableHandoff turns off session handoff: a pinned replica's death
 	// surfaces OwnerFailedError immediately instead of re-pinning the
 	// session to a sibling seeded with the client-held session state.
@@ -648,13 +564,6 @@ type HTTPClient struct {
 
 	// rr holds the per-list round-robin cursors of RouteRoundRobin.
 	rr []atomic.Uint32
-
-	// wire holds the WireFormat (atomically, so SetWireFormat cannot
-	// race live sessions); binNegotiated records whether every reachable
-	// replica advertised the binary codec at dial time (consulted under
-	// WireAuto).
-	wire          atomic.Uint32
-	binNegotiated bool
 
 	// The background health prober's lifecycle; nil when disabled.
 	probeCancel context.CancelFunc
@@ -715,10 +624,8 @@ func DialOwners(urls []string, hc *http.Client) (*HTTPClient, error) {
 
 // Dial connects to the owner processes of cfg.Topology and validates the
 // cluster: every replica of list i must report list index i, the shared
-// list length, and a database of exactly len(Topology) lists. The
-// handshake also negotiates the wire codec: when every reachable replica
-// advertises the binary codec, the data plane uses it (see
-// SetWireFormat).
+// list length, a database of exactly len(Topology) lists, and the
+// binary data-plane codec in its advertised Codecs.
 //
 // Replicas that cannot be reached at dial time are tolerated — marked
 // unhealthy, to be revived by the background health prober — as long as
@@ -762,7 +669,6 @@ func Dial(ctx context.Context, cfg DialConfig) (*HTTPClient, error) {
 		t.retries = 0
 	}
 	t.bk = defaultBackoff(cfg.BackoffBase, cfg.BackoffCap)
-	t.wire.Store(uint32(cfg.Wire))
 	threshold := cfg.BreakerThreshold
 	if threshold == 0 {
 		threshold = DefaultBreakerThreshold
@@ -806,10 +712,9 @@ func advertisesBinary(st OwnerStats) bool {
 
 // checkShape validates one replica's handshake against the dialed
 // topology: it must serve the expected list of a database with the
-// cluster's width and shared list length. requireBinary additionally
-// demands the binary-codec advertisement — set when a late-validated
-// replica joins a cluster whose data plane already speaks binary.
-func (t *HTTPClient) checkShape(r *replica, st OwnerStats, requireBinary bool) error {
+// cluster's width and shared list length, and speak the binary
+// data-plane codec.
+func (t *HTTPClient) checkShape(r *replica, st OwnerStats) error {
 	if st.Index != r.list {
 		return fmt.Errorf("transport: owner %d replica %d (%s) serves list %d; order the topology by list index",
 			r.list, r.index, r.url, st.Index)
@@ -822,9 +727,9 @@ func (t *HTTPClient) checkShape(r *replica, st OwnerStats, requireBinary bool) e
 		return fmt.Errorf("transport: owner %d replica %d (%s) has %d items, expected %d",
 			r.list, r.index, r.url, st.N, t.n)
 	}
-	if requireBinary && !advertisesBinary(st) {
-		return fmt.Errorf("transport: owner %d replica %d (%s) does not advertise the cluster's binary wire codec",
-			r.list, r.index, r.url)
+	if !advertisesBinary(st) {
+		return fmt.Errorf("transport: owner %d replica %d (%s) does not advertise the %q wire codec (codecs %v)",
+			r.list, r.index, r.url, CodecBinary, st.Codecs)
 	}
 	return nil
 }
@@ -870,7 +775,6 @@ func (t *HTTPClient) handshake(ctx context.Context) error {
 			break
 		}
 	}
-	allBinary := true
 	for li, reps := range t.lists {
 		reachable := 0
 		var firstErr error
@@ -882,10 +786,9 @@ func (t *HTTPClient) handshake(ctx context.Context) error {
 				}
 				continue
 			}
-			if err := t.checkShape(r, v.st, false); err != nil {
+			if err := t.checkShape(r, v.st); err != nil {
 				return err
 			}
-			allBinary = allBinary && advertisesBinary(v.st)
 			r.info.Store(&v.st)
 			r.validated.Store(true)
 			t.noteHealth(r, true)
@@ -896,27 +799,7 @@ func (t *HTTPClient) handshake(ctx context.Context) error {
 			return fmt.Errorf("transport: owner %d: no reachable replica: %w", li, firstErr)
 		}
 	}
-	t.binNegotiated = allBinary
 	return nil
-}
-
-// SetWireFormat overrides the dial-time codec negotiation (default
-// WireAuto: binary when every owner advertises it). Safe to call
-// concurrently with live sessions — the store is atomic — but exchanges
-// already in flight finish on the codec they started with, so switch
-// before opening sessions for deterministic wiring.
-func (t *HTTPClient) SetWireFormat(f WireFormat) { t.wire.Store(uint32(f)) }
-
-// binaryWire reports whether /rpc exchanges travel in the binary codec.
-func (t *HTTPClient) binaryWire() bool {
-	switch WireFormat(t.wire.Load()) {
-	case WireJSON:
-		return false
-	case WireBinary:
-		return true
-	default:
-		return t.binNegotiated
-	}
 }
 
 // SetRequestTimeout changes the per-attempt bound on every subsequent
@@ -1372,38 +1255,21 @@ func (t *HTTPClient) Open(ctx context.Context, tracker bestpos.Kind) (Session, e
 const liveSID = "live"
 
 // updateReplica sends one update batch to one replica over the data
-// plane — negotiated codec, frame CRC, shed backpressure and transient
+// plane — binary frame, frame CRC, shed backpressure and transient
 // retries; updates are replayable by their per-feed sequence number, so
 // re-sending is always safe.
 func (t *HTTPClient) updateReplica(ctx context.Context, r *replica, req UpdateReq) (UpdateResp, error) {
-	binary := t.binaryWire()
-	var (
-		body []byte
-		err  error
-		ct   = ContentTypeJSON
-	)
-	if binary {
-		body, err = AppendRequestBinary(nil, req)
-		ct = ContentTypeBinary
-	} else {
-		body, err = json.Marshal(req)
-	}
+	body, err := AppendRequestBinary(nil, req)
 	if err != nil {
 		return UpdateResp{}, fmt.Errorf("transport: owner %d: encode update: %w", r.list, err)
 	}
 	var out UpdateResp
-	derr := t.doReplica(ctx, r, http.MethodPost, "/rpc/"+string(KindUpdate)+"?sid="+liveSID, body, ct, func(rd io.Reader) error {
+	derr := t.doReplica(ctx, r, http.MethodPost, "/rpc/"+string(KindUpdate)+"?sid="+liveSID, body, ContentTypeBinary, func(rd io.Reader) error {
 		data, rerr := io.ReadAll(rd)
 		if rerr != nil {
 			return fmt.Errorf("%w: read body: %v", errCorruptFrame, rerr)
 		}
-		var resp Response
-		var derr error
-		if binary {
-			resp, derr = DecodeResponseBinary(data)
-		} else {
-			resp, derr = UnmarshalResponseJSON(KindUpdate, data)
-		}
+		resp, derr := DecodeResponseBinary(data)
 		if derr != nil {
 			return fmt.Errorf("%w: decode: %v", errCorruptFrame, derr)
 		}
@@ -1711,20 +1577,16 @@ func (s *httpSession) recordAccess(li int, req Request, resp Response) {
 	ls.mu.Unlock()
 }
 
-// attemptRPC performs one data-plane round-trip with one replica in the
-// session's wire codec, reporting the encoded response size alongside
-// the decoded message (tracing and the wire-bytes metrics want the
-// on-the-wire count, which only this frame sees). Both bodies pass
-// through pooled buffers; decoded messages own their memory, so nothing
-// aliases a pooled slice after return.
-func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, body []byte, binary bool) (Response, int, int, error) {
-	ct := ContentTypeJSON
-	if binary {
-		ct = ContentTypeBinary
-	}
+// attemptRPC performs one data-plane round-trip with one replica,
+// reporting the encoded response size alongside the decoded message
+// (tracing and the wire-bytes metrics want the encoded count, which
+// only this frame sees). Both bodies pass through pooled buffers;
+// decoded messages own their memory, so nothing aliases a pooled slice
+// after return.
+func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, body []byte) (Response, int, int, error) {
 	var out Response
 	respBytes := 0
-	status, err := s.t.attempt(ctx, http.MethodPost, r.url+s.rpcPath(kind), body, ct, func(rd io.Reader) error {
+	status, err := s.t.attempt(ctx, http.MethodPost, r.url+s.rpcPath(kind), body, ContentTypeBinary, func(rd io.Reader) error {
 		dec := getBuf()
 		defer putBuf(dec)
 		data, rerr := appendAll(*dec, rd)
@@ -1734,12 +1596,7 @@ func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, bod
 		}
 		respBytes = len(data)
 		var derr error
-		if binary {
-			out, derr = DecodeResponseBinary(data)
-		} else {
-			out, derr = decodeResponseJSON(kind, data)
-		}
-		if derr != nil {
+		if out, derr = DecodeResponseBinary(data); derr != nil {
 			// The owner answered 200, so a frame that fails to decode
 			// was damaged in transit: classify as corrupt, not permanent.
 			return fmt.Errorf("%w: decode: %v", errCorruptFrame, derr)
@@ -1768,15 +1625,9 @@ func (s *httpSession) attemptRPC(ctx context.Context, r *replica, kind Kind, bod
 //     OwnerFailedError.
 func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Response, err error) {
 	kind := req.Kind()
-	binary := s.t.binaryWire()
 	enc := getBuf()
 	defer putBuf(enc)
-	if binary {
-		*enc, err = AppendRequestBinary(*enc, req)
-	} else {
-		*enc, err = json.Marshal(req)
-	}
-	if err != nil {
+	if *enc, err = AppendRequestBinary(*enc, req); err != nil {
 		return nil, fmt.Errorf("transport: owner %d: encode request: %w", li, err)
 	}
 
@@ -1804,7 +1655,7 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 	failedOver := false
 	exStart := time.Now()
 	defer func() {
-		observeExchangeMetrics(kind, binary, time.Since(exStart), reqLen, respBytes, attempted, failedOver, err)
+		observeExchangeMetrics(kind, time.Since(exStart), reqLen, respBytes, attempted, failedOver, err)
 		if s.rec == nil {
 			return
 		}
@@ -1865,7 +1716,7 @@ func (s *httpSession) exchange(ctx context.Context, li int, req Request) (_ Resp
 		}
 		attempted++
 		start := time.Now()
-		resp, rb, status, err := s.attemptRPC(ctx, target, kind, *enc, binary)
+		resp, rb, status, err := s.attemptRPC(ctx, target, kind, *enc)
 		if err == nil {
 			respBytes = rb
 			target.observe(time.Since(start))

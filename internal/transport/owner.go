@@ -41,9 +41,9 @@ type OwnerStats struct {
 	Best int `json:"best"`
 	// Depth is the deepest sorted position the session has read.
 	Depth int `json:"depth"`
-	// Codecs lists the wire codecs the owner speaks ("binary", "json"),
-	// filled by the dial handshake so clients can negotiate the binary
-	// codec without a separate capability endpoint.
+	// Codecs lists the data-plane codecs the owner speaks ("binary"),
+	// filled by the dial handshake; a client refuses a replica that
+	// does not list the binary codec.
 	Codecs []string `json:"codecs,omitempty"`
 	// OpenSessions and Evictions report the owner's session hygiene: how
 	// many sessions are live, and how many idle ones the TTL sweep has
@@ -550,7 +550,7 @@ func (o *Owner) Info() OwnerStats {
 		M:            o.m,
 		MinScore:     o.db.List(0).At(o.n).Score,
 		Replica:      rep,
-		Codecs:       []string{CodecBinary, CodecJSON},
+		Codecs:       []string{CodecBinary},
 		OpenSessions: open,
 		Evictions:    ev,
 	}
@@ -770,12 +770,12 @@ func (o *Owner) handleProbe(s *ownerSession, _ ProbeReq) (Response, error) {
 		// Defensive: the originator tracks exhaustion and stops probing;
 		// answer with the piggyback only.
 		best, _ := o.bestState(s)
-		return ProbeResp{BestScore: Upper(best), Exhausted: true, Empty: true}, nil
+		return ProbeResp{BestScore: best, Exhausted: true, Empty: true}, nil
 	}
 	e := s.pr.Direct(0, p)
 	s.tr.MarkSeen(p)
 	best, exhausted := o.bestState(s)
-	return ProbeResp{Entry: e, BestScore: Upper(best), Exhausted: exhausted, Pos: p}, nil
+	return ProbeResp{Entry: e, BestScore: best, Exhausted: exhausted, Pos: p}, nil
 }
 
 // handleMark serves BPA2's random access: the owner resolves the item,
@@ -788,7 +788,7 @@ func (o *Owner) handleMark(s *ownerSession, req MarkReq) (Response, error) {
 	sc, p := s.pr.Random(0, req.Item)
 	s.tr.MarkSeen(p)
 	best, exhausted := o.bestState(s)
-	return MarkResp{Score: sc, BestScore: Upper(best), Exhausted: exhausted, Pos: p}, nil
+	return MarkResp{Score: sc, BestScore: best, Exhausted: exhausted, Pos: p}, nil
 }
 
 // handleTopK serves TPUT phase 1: the owner reads its K best entries,

@@ -498,9 +498,8 @@ func (t *HTTPClient) validateReplica(ctx context.Context, r *replica) {
 		t.noteHealth(r, false)
 		return
 	}
-	// A cluster whose data plane speaks binary must not admit a replica
-	// that cannot; under forced/negotiated JSON the codec is moot.
-	if err := t.checkShape(r, st, t.binaryWire()); err != nil {
+	if err := t.checkShape(r, st); err != nil {
+		t.log.Warn("replica refused", "list", r.list, "replica", r.index, "url", r.url, "err", err)
 		r.validated.Store(false)
 		t.probeFailed(r)
 		t.noteHealth(r, false)

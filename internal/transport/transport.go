@@ -33,7 +33,7 @@
 //     owners in parallel, so a protocol round's simulated wall-clock is
 //     the max, not the sum, of its owner round-trips — the effect that
 //     makes fewer-rounds designs (BPA2, TPUT) measurable.
-//   - HTTP: a real owner server (one list per process, JSON codec) and
+//   - HTTP: a real owner server (one list per process, binary codec) and
 //     an originator client, the backing of cmd/topk-owner and
 //     topk-query's --owners cluster mode, with per-request timeouts and
 //     a single retry on transient owner failures.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -35,28 +36,6 @@ func open(t *testing.T, tr Transport) Session {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
-}
-
-// TestUpperJSONRoundTrip: the BPA2 piggyback must survive the JSON codec
-// at +Inf, which encoding/json rejects for plain float64s.
-func TestUpperJSONRoundTrip(t *testing.T) {
-	for _, v := range []float64{0, 1.25, -3.5, math.Inf(1)} {
-		raw, err := json.Marshal(Upper(v))
-		if err != nil {
-			t.Fatalf("marshal %v: %v", v, err)
-		}
-		var back Upper
-		if err := json.Unmarshal(raw, &back); err != nil {
-			t.Fatalf("unmarshal %s: %v", raw, err)
-		}
-		if float64(back) != v {
-			t.Errorf("%v round-tripped to %v via %s", v, back, raw)
-		}
-	}
-	var bad Upper
-	if err := json.Unmarshal([]byte(`"nope"`), &bad); err == nil {
-		t.Error("garbage accepted as Upper")
-	}
 }
 
 // TestMessageScalars pins the payload accounting every backend charges:
@@ -146,7 +125,7 @@ func TestOwnerHandlers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr := resp.(ProbeResp); pr.Entry != l.At(1) || float64(pr.BestScore) != l.At(1).Score || pr.Empty {
+	if pr := resp.(ProbeResp); pr.Entry != l.At(1) || pr.BestScore != l.At(1).Score || pr.Empty {
 		t.Errorf("probe = %+v", pr)
 	}
 
@@ -155,14 +134,14 @@ func TestOwnerHandlers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mr := resp.(MarkResp); float64(mr.BestScore) != l.At(1).Score || mr.Score != l.At(3).Score {
+	if mr := resp.(MarkResp); mr.BestScore != l.At(1).Score || mr.Score != l.At(3).Score {
 		t.Errorf("mark = %+v", mr)
 	}
 	resp, err = o.Handle(sid, ProbeReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr := resp.(ProbeResp); pr.Entry != l.At(2) || float64(pr.BestScore) != l.At(3).Score {
+	if pr := resp.(ProbeResp); pr.Entry != l.At(2) || pr.BestScore != l.At(3).Score {
 		t.Errorf("probe after mark = %+v", pr)
 	}
 
@@ -639,7 +618,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mr := resp.(MarkResp); !math.IsInf(float64(mr.BestScore), 1) {
+	if mr := resp.(MarkResp); !math.IsInf(mr.BestScore, 1) {
 		t.Errorf("mark piggyback = %+v, want +Inf", mr)
 	}
 	resp, err = s.Do(ctx, 1, ProbeReq{})
@@ -869,27 +848,6 @@ func TestHTTPCancel(t *testing.T) {
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Errorf("cancellation took %v", d)
-	}
-}
-
-// TestHTTPResetDeprecated: the pre-session /reset endpoint stays a 200
-// no-op — it must not disturb any live session.
-func TestHTTPResetDeprecated(t *testing.T) {
-	db := testDB(t)
-	urls, servers := startHTTPOwners(t, db)
-	if err := servers[0].Owner().Open("keep", bestpos.BitArrayKind); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(urls[0]+"/reset", "application/json", strings.NewReader(`{"tracker":0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/reset status %d", resp.StatusCode)
-	}
-	if servers[0].Owner().Sessions() != 1 {
-		t.Errorf("/reset disturbed sessions: %d left", servers[0].Owner().Sessions())
 	}
 }
 
@@ -1126,10 +1084,12 @@ func TestHTTPStatsExposesEvictions(t *testing.T) {
 	}
 }
 
-// TestWireNegotiation: a dial against advertising owners lands on the
-// binary codec; SetWireFormat forces either codec; a non-advertising
-// (old) owner downgrades the whole cluster to JSON. Answers are
-// identical in all cases.
+// TestWireNegotiation: the binary codec is the only data-plane codec.
+// Advertising owners dial and answer over it; a handshake that does not
+// advertise it (an owner from before the codec) fails Dial with an error
+// naming that owner; and a replica that comes back from down without it
+// is never made routable by the prober, which logs the refusal naming
+// the owner and replica.
 func TestWireNegotiation(t *testing.T) {
 	db := testDB(t)
 	urls, _ := startHTTPOwners(t, db)
@@ -1139,68 +1099,99 @@ func TestWireNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hc.Close()
-	if !hc.binaryWire() {
-		t.Error("advertising cluster did not negotiate binary")
+	s := open(t, hc)
+	resp, err := s.Do(context.Background(), 0, SortedReq{Pos: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.(SortedResp).Entry; got != db.List(0).At(1) {
+		t.Errorf("sorted over wire = %+v", got)
+	}
+	// A coalesced round over the same wire.
+	batch, err := s.Do(context.Background(), 0, BatchReq{Reqs: []Request{
+		SortedReq{Pos: 2}, SortedReq{Pos: 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := batch.(BatchResp).Resps[1].(SortedResp).Entry; got != db.List(0).At(3) {
+		t.Errorf("batched sorted over wire = %+v", got)
 	}
 
-	run := func(t *testing.T, hc *HTTPClient) SortedResp {
-		t.Helper()
-		s := open(t, hc)
-		resp, err := s.Do(context.Background(), 0, SortedReq{Pos: 1})
+	// stripCodecs serves list 0 but drops the codec advertisement from
+	// its handshake.
+	stripCodecs := func() http.Handler {
+		srv, err := NewServer(db, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A coalesced round over the same wire.
-		batch, err := s.Do(context.Background(), 0, BatchReq{Reqs: []Request{
-			SortedReq{Pos: 2}, SortedReq{Pos: 3},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := batch.(BatchResp).Resps[1].(SortedResp).Entry; got != db.List(0).At(3) {
-			t.Errorf("batched sorted over wire = %+v", got)
-		}
-		return resp.(SortedResp)
-	}
-
-	want := run(t, hc) // binary
-	hc.SetWireFormat(WireJSON)
-	if hc.binaryWire() {
-		t.Error("WireJSON did not force JSON")
-	}
-	if got := run(t, hc); got != want {
-		t.Errorf("JSON wire answered %+v, binary %+v", got, want)
-	}
-	hc.SetWireFormat(WireBinary)
-	if got := run(t, hc); got != want {
-		t.Errorf("forced binary answered %+v, want %+v", got, want)
-	}
-
-	// An owner that strips the codec advertisement (an old server)
-	// downgrades negotiation to JSON, and queries still work.
-	stripped := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/stats" && r.URL.Query().Get("sid") == "" {
-			srv, err := NewServer(db, 0)
-			if err != nil {
-				http.Error(w, err.Error(), 500)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/stats" && r.URL.Query().Get("sid") == "" {
+				st := srv.Owner().Info()
+				st.Codecs = nil
+				writeJSON(w, http.StatusOK, st)
 				return
 			}
-			st := srv.Owner().Info()
-			st.Codecs = nil
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
-		http.NotFound(w, r)
-	}))
+			srv.Handler().ServeHTTP(w, r)
+		})
+	}
+	stripped := httptest.NewServer(stripCodecs())
 	defer stripped.Close()
-	hc2, err := DialOwners([]string{stripped.URL, urls[1], urls[2]}, nil)
+	_, err = DialOwners([]string{stripped.URL, urls[1], urls[2]}, nil)
+	if err == nil {
+		t.Fatal("dial accepted an owner that does not advertise the binary codec")
+	}
+	for _, want := range []string{"owner 0 replica 0", stripped.URL, CodecBinary} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("dial error %q does not name %q", err, want)
+		}
+	}
+
+	// The same owner as a replica that is down at dial time: once up,
+	// the prober's handshake refuses it, however often it runs.
+	late := &lateGate{inner: stripCodecs()}
+	tsLate := httptest.NewServer(late)
+	defer tsLate.Close()
+	var log syncLog
+	hc2, err := Dial(context.Background(), DialConfig{
+		Topology:       Topology{{urls[0], tsLate.URL}, {urls[1]}, {urls[2]}},
+		HealthInterval: 10 * time.Millisecond,
+		Logger:         slog.New(slog.NewTextHandler(&log, nil)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hc2.Close()
-	if hc2.binaryWire() {
-		t.Error("cluster with a non-advertising owner negotiated binary")
+	late.up.Store(true)
+	refusal := `msg="replica refused" list=0 replica=1 url=` + tsLate.URL
+	deadline := time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) && strings.Count(log.String(), refusal) < 2 {
+		time.Sleep(5 * time.Millisecond)
 	}
+	if n := strings.Count(log.String(), refusal); n < 2 {
+		t.Fatalf("prober logged %d refusals of the returned replica, want 2:\n%s", n, log.String())
+	}
+	if hc2.lists[0][1].validated.Load() || hc2.Health()[1].Healthy {
+		t.Error("prober readmitted a replica that does not advertise the binary codec")
+	}
+}
+
+// syncLog is a log sink safe for the prober's goroutines.
+type syncLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *syncLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *syncLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // TestBatchWithProbeNotRetried: a batch containing a cursor-advancing
@@ -1311,30 +1302,43 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	binFrame := func(req Request) string {
+		b, err := AppendRequestBinary(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
 
 	for _, c := range []struct {
 		method, path, body string
 		want               int
 	}{
-		{http.MethodPost, "/rpc/zzz?sid=s", "{}", http.StatusBadRequest},
-		{http.MethodPost, "/rpc/sorted?sid=s", "not json", http.StatusBadRequest},
-		{http.MethodPost, "/rpc/sorted?sid=s", `{"pos":0}`, http.StatusBadRequest},
-		{http.MethodPost, "/rpc/sorted", `{"pos":1}`, http.StatusBadRequest},      // no sid
-		{http.MethodPost, "/rpc/sorted?sid=zz", `{"pos":1}`, http.StatusNotFound}, // unknown sid
+		{http.MethodPost, "/rpc/zzz?sid=s", binFrame(SortedReq{Pos: 1}), http.StatusBadRequest},
+		{http.MethodPost, "/rpc/sorted?sid=s", "not a frame", http.StatusBadRequest},
+		{http.MethodPost, "/rpc/sorted?sid=s", binFrame(SortedReq{Pos: 0}), http.StatusBadRequest},
+		{http.MethodPost, "/rpc/sorted", binFrame(SortedReq{Pos: 1}), http.StatusBadRequest},      // no sid
+		{http.MethodPost, "/rpc/sorted?sid=zz", binFrame(SortedReq{Pos: 1}), http.StatusNotFound}, // unknown sid
+		{http.MethodPost, "/rpc/sorted?sid=s", `{"pos":1}`, http.StatusUnsupportedMediaType},      // JSON body
 		{http.MethodGet, "/rpc/sorted?sid=s", "", http.StatusMethodNotAllowed},
 		{http.MethodPost, "/session/open", `{"sid":"x","tracker":99}`, http.StatusBadRequest},
 		{http.MethodPost, "/session/open", `{"tracker":0}`, http.StatusBadRequest}, // empty sid
 		{http.MethodGet, "/session/open", "", http.StatusMethodNotAllowed},
 		{http.MethodGet, "/session/close", "", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/reset", "", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/reset", `{"tracker":99}`, http.StatusOK}, // deprecated no-op
 		{http.MethodPost, "/stats", "{}", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/stats?sid=zz", "", http.StatusNotFound},
+		{http.MethodGet, "/stats?sid=zz", "", http.StatusGone},
 	} {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Control-plane bodies and the JSON /rpc row are JSON; every
+		// other /rpc body travels as the binary frames it holds.
+		ct := ContentTypeJSON
+		if strings.HasPrefix(c.path, "/rpc/") && !strings.HasPrefix(c.body, "{") {
+			ct = ContentTypeBinary
+		}
+		req.Header.Set("Content-Type", ct)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)

@@ -128,42 +128,8 @@ func TestDialClusterConfigValidation(t *testing.T) {
 	if _, err := DialClusterConfig(ctx, ClusterConfig{}); err == nil {
 		t.Error("empty topology accepted")
 	}
-	if _, err := DialClusterConfig(ctx, ClusterConfig{Topology: [][]string{{"h"}}, Wire: "zzz"}); err == nil {
-		t.Error("bad wire accepted")
-	}
 	if _, err := DialClusterConfig(ctx, ClusterConfig{Topology: [][]string{{"127.0.0.1:1"}}}); err == nil {
 		t.Error("unreachable single-replica list accepted")
-	}
-}
-
-// TestSetWireLockedAfterExec: flipping the wire codec under live
-// sessions is a data race on the encoding path, so SetWire is guarded —
-// after the first Exec it fails with the typed ErrClusterStarted, while
-// ClusterConfig.Wire (and pre-Exec SetWire) remain the supported paths.
-func TestSetWireLockedAfterExec(t *testing.T) {
-	db, err := Generate(GenSpec{Kind: GenUniform, N: 60, M: 2, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := startCluster(t, db)
-	if err := c.SetWire("json"); err != nil {
-		t.Fatalf("SetWire before Exec: %v", err)
-	}
-	if err := c.SetWire("zzz"); err == nil {
-		t.Error("unknown wire accepted")
-	}
-	if _, err := c.Exec(context.Background(), Query{K: 3}, DistBPA2); err != nil {
-		t.Fatal(err)
-	}
-	err = c.SetWire("binary")
-	if !errors.Is(err, ErrClusterStarted) {
-		t.Errorf("SetWire after Exec = %v, want ErrClusterStarted", err)
-	}
-	// The declarative path makes the guard moot: wire set at dial time.
-	if _, err := DialClusterConfig(context.Background(), ClusterConfig{
-		Topology: [][]string{{"127.0.0.1:1"}}, Wire: "json",
-	}); err == nil {
-		t.Error("unreachable owner accepted") // wire parsed before dial — both paths must error
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 )
 
 // TestWorkflowRunFiltersNameTests: every alternative of a CI workflow's
-// `go test -run` filter matches, as go test matches it (an unanchored
-// regexp), some func Test… declared in one of the packages that command
-// names. A -run filter matching nothing passes silently, so without
+// `go test -run` or `-fuzz` filter matches, as go test matches it (an
+// unanchored regexp), some func Test… or Fuzz… declared in one of the
+// packages that command names. A filter matching nothing passes
+// silently, so without
 // this check renaming a test would quietly drop it from the named
 // suites that exist to keep it running (under -race, by name).
 func TestWorkflowRunFiltersNameTests(t *testing.T) {
@@ -29,8 +30,8 @@ func TestWorkflowRunFiltersNameTests(t *testing.T) {
 		// Join shell line continuations so each command is one line.
 		text := strings.ReplaceAll(string(raw), "\\\n", " ")
 		for _, line := range strings.Split(text, "\n") {
-			run, pkgs := runFilter(line)
-			if run == "" {
+			filters, pkgs := runFilters(line)
+			if len(filters) == 0 {
 				continue
 			}
 			declared := map[string]bool{}
@@ -39,14 +40,14 @@ func TestWorkflowRunFiltersNameTests(t *testing.T) {
 					declared[name] = true
 				}
 			}
-			for _, alt := range strings.Split(run, "|") {
+			for _, alt := range strings.Split(strings.Join(filters, "|"), "|") {
 				alt, _, _ = strings.Cut(alt, "/") // subtests select their parent
 				if alt == "^$" {
 					continue // the "no tests" idiom of benchmark steps
 				}
 				re, err := regexp.Compile(alt)
 				if err != nil {
-					t.Errorf("%s: -run %q: %v", file, run, err)
+					t.Errorf("%s: filter %q: %v", file, alt, err)
 					continue
 				}
 				checked++
@@ -55,7 +56,7 @@ func TestWorkflowRunFiltersNameTests(t *testing.T) {
 					found = found || re.MatchString(name)
 				}
 				if !found {
-					t.Errorf("%s: -run %q: %s matches no test of %v", file, run, alt, pkgs)
+					t.Errorf("%s: filter %s matches no test of %v", file, alt, pkgs)
 				}
 			}
 		}
@@ -65,19 +66,21 @@ func TestWorkflowRunFiltersNameTests(t *testing.T) {
 	}
 }
 
-// runFilter extracts the -run pattern and the package arguments of one
-// `go test` command line; run is "" when the line is not one.
-func runFilter(line string) (run string, pkgs []string) {
+// runFilters extracts the -run and -fuzz patterns and the package
+// arguments of one `go test` command line; filters is empty when the
+// line is not one.
+func runFilters(line string) (filters, pkgs []string) {
 	if !strings.Contains(line, "go test") {
-		return "", nil
+		return nil, nil
 	}
 	fields := strings.Fields(line)
 	for i, f := range fields {
 		switch {
-		case f == "-run" && i+1 < len(fields):
-			run = strings.Trim(fields[i+1], `'"`)
-		case strings.HasPrefix(f, "-run="):
-			run = strings.Trim(strings.TrimPrefix(f, "-run="), `'"`)
+		case (f == "-run" || f == "-fuzz") && i+1 < len(fields):
+			filters = append(filters, strings.Trim(fields[i+1], `'"`))
+		case strings.HasPrefix(f, "-run=") || strings.HasPrefix(f, "-fuzz="):
+			_, v, _ := strings.Cut(f, "=")
+			filters = append(filters, strings.Trim(v, `'"`))
 		case f == "." || strings.HasPrefix(f, "./"):
 			pkgs = append(pkgs, f)
 		}
@@ -85,10 +88,10 @@ func runFilter(line string) (run string, pkgs []string) {
 	if len(pkgs) == 0 {
 		pkgs = []string{"."}
 	}
-	return run, pkgs
+	return filters, pkgs
 }
 
-var testFuncRE = regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+var testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
 
 // testFuncs returns the test functions declared in the package at dir,
 // or in every package under it for a ./... pattern.
