@@ -444,13 +444,14 @@
 // min/max score fences — plus id→position pages for random access, all
 // indexed by a footer. Opening reads only the footer: data blocks are
 // fetched on demand with pread into an LRU cache whose byte budget is
-// -stripe-cache (default 64 MiB). The budget is a hard ceiling on the
-// accounted decoded bytes resident — insertion evicts first, and a block
-// larger than the whole budget is served uncached — so an owner's memory
-// stays bounded no matter how large its lists are. Score fences let a
-// threshold seek touch one stripe instead of scanning; none of this
-// changes what an algorithm is charged, which is how the parity suites
-// can hold disk-backed runs bit-identical to RAM ones.
+// -stripe-cache (default 64 MiB). The cache keeps each block as its
+// on-disk bytes and a read decodes only the value it returns; the budget
+// is a hard ceiling on those bytes resident — insertion evicts first,
+// and a block larger than the whole budget is served uncached — so an
+// owner's memory stays bounded no matter how large its lists are. Score
+// fences let a threshold seek touch one stripe instead of scanning; none
+// of this changes what an algorithm is charged, which is how the parity
+// suites can hold disk-backed runs bit-identical to RAM ones.
 //
 // A warm-restarting owner, end to end:
 //

@@ -2,6 +2,7 @@ package stripe
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 )
 
@@ -21,24 +22,34 @@ type ckey struct {
 	idx  int32
 }
 
-// centry is one resident block: the decoded payload and its accounted
-// size in bytes.
+// String labels the block in error messages.
+func (k ckey) String() string {
+	if k.kind == kindPositions {
+		return fmt.Sprintf("list %d position page %d", k.list, k.idx)
+	}
+	return fmt.Sprintf("list %d stripe %d", k.list, k.idx)
+}
+
+// centry is one resident block: its CRC-checked on-disk bytes, whose
+// length is the block's accounted size.
 type centry struct {
 	key  ckey
-	val  any
-	size int64
+	buf  []byte
 	elem *list.Element
 }
 
-// cache is the LRU block cache of one open DB: decoded payloads under a
-// byte budget. The budget is a hard ceiling on the accounted resident
+// cache is the LRU block cache of one open DB: raw on-disk blocks under
+// a byte budget. The budget is a hard ceiling on the accounted resident
 // bytes — insertion evicts first, and a block larger than the whole
 // budget is returned to the caller without being admitted — which is
 // what lets a deployment cap an owner's memory regardless of list size.
 //
-// CacheStats (and the process-wide obs gauge) report the accounted
-// decoded payload bytes; the map and LRU bookkeeping add a small
-// per-block overhead on top.
+// A block is accounted at its on-disk length (CRC tail included), which
+// is exactly the buffer it keeps alive; CacheStats (and the process-wide
+// obs gauge) report that sum, and the map and LRU bookkeeping add a
+// small per-block overhead on top. Cached buffers are never written or
+// recycled, so a reader still holding a block after its eviction reads
+// valid bytes.
 type cache struct {
 	mu          sync.Mutex
 	budget      int64
@@ -63,47 +74,50 @@ type CacheStats struct {
 	Hits      int64 // block reads served from the cache
 	Misses    int64 // block reads that went to disk
 	Evictions int64 // blocks dropped to respect the budget
-	// Resident is the accounted decoded bytes currently cached;
-	// MaxResident is its high-water mark over the DB's lifetime. Both
-	// are always <= Budget.
+	// Resident is the on-disk bytes (CRC tails included) of the blocks
+	// currently cached; MaxResident is its high-water mark over the DB's
+	// lifetime. Both are always <= Budget.
 	Resident    int64
 	MaxResident int64
 	Budget      int64
 }
 
-// get returns the cached block for k, loading it via load on a miss.
-// load runs outside the cache lock, so concurrent misses on distinct
-// blocks overlap their disk reads; concurrent misses on the same block
-// may both load, and the loser adopts the winner's copy.
-func (c *cache) get(k ckey, load func() (val any, size int64, err error)) (any, error) {
+// lookup returns the resident block for k, counting a hit. On a miss the
+// caller loads the block outside the lock and hands it to insert, so
+// concurrent misses on distinct blocks overlap their disk reads.
+func (c *cache) lookup(k ckey) ([]byte, bool) {
 	c.mu.Lock()
-	if e, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(e.elem)
-		c.hits++
+	e, ok := c.entries[k]
+	if !ok {
 		c.mu.Unlock()
-		mCacheHits.Inc()
-		return e.val, nil
+		return nil, false
 	}
+	c.lru.MoveToFront(e.elem)
+	c.hits++
 	c.mu.Unlock()
+	mCacheHits.Inc()
+	return e.buf, true
+}
 
-	val, size, err := load()
-	if err != nil {
-		return nil, err
-	}
-
+// insert admits a block just loaded for k after a lookup miss, counting
+// the miss, and returns the copy the caller should read: concurrent
+// misses on the same block may both load, and the loser adopts the
+// winner's resident copy.
+func (c *cache) insert(k ckey, buf []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.misses++
 	mCacheMisses.Inc()
 	if e, ok := c.entries[k]; ok { // lost a load race; adopt the resident copy
 		c.lru.MoveToFront(e.elem)
-		return e.val, nil
+		return e.buf
 	}
+	size := int64(len(buf))
 	if size <= c.budget {
 		for c.resident+size > c.budget {
 			c.evictOldestLocked()
 		}
-		e := &centry{key: k, val: val, size: size}
+		e := &centry{key: k, buf: buf}
 		e.elem = c.lru.PushFront(e)
 		c.entries[k] = e
 		c.resident += size
@@ -112,7 +126,7 @@ func (c *cache) get(k ckey, load func() (val any, size int64, err error)) (any, 
 		}
 		mCacheResident.Add(float64(size))
 	}
-	return val, nil
+	return buf
 }
 
 // evictOldestLocked drops the least recently used block. Called with the
@@ -125,10 +139,11 @@ func (c *cache) evictOldestLocked() {
 	e := back.Value.(*centry)
 	c.lru.Remove(back)
 	delete(c.entries, e.key)
-	c.resident -= e.size
+	size := int64(len(e.buf))
+	c.resident -= size
 	c.evictions++
 	mCacheEvictions.Inc()
-	mCacheResident.Add(float64(-e.size))
+	mCacheResident.Add(float64(-size))
 }
 
 // stats snapshots the tallies.

@@ -10,13 +10,13 @@ import "topk/internal/obs"
 //	topk_stripe_cache_hits_total       counter  block reads served from cache
 //	topk_stripe_cache_misses_total     counter  block reads that went to disk
 //	topk_stripe_cache_evictions_total  counter  blocks dropped for the budget
-//	topk_stripe_cache_resident_bytes   gauge    decoded bytes resident, summed
-//	                                            over every open stripe DB —
-//	                                            never exceeds the sum of the
-//	                                            configured budgets
+//	topk_stripe_cache_resident_bytes   gauge    on-disk block bytes resident,
+//	                                            summed over every open stripe
+//	                                            DB — never exceeds the sum of
+//	                                            the configured budgets
 var (
 	mCacheHits      = obs.GetCounter("topk_stripe_cache_hits_total", "Stripe-cache block reads served from the cache.", nil)
 	mCacheMisses    = obs.GetCounter("topk_stripe_cache_misses_total", "Stripe-cache block reads that went to disk.", nil)
 	mCacheEvictions = obs.GetCounter("topk_stripe_cache_evictions_total", "Stripe-cache blocks evicted to respect the byte budget.", nil)
-	mCacheResident  = obs.GetGauge("topk_stripe_cache_resident_bytes", "Decoded bytes resident in stripe caches, summed over open stripe databases.", nil)
+	mCacheResident  = obs.GetGauge("topk_stripe_cache_resident_bytes", "On-disk block bytes resident in stripe caches, summed over open stripe databases.", nil)
 )

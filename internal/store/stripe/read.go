@@ -14,9 +14,9 @@ import (
 
 // Options configures an open stripe database.
 type Options struct {
-	// CacheBytes is the stripe-cache budget over decoded block payloads;
-	// 0 means DefaultCacheBytes. The accounted resident bytes never
-	// exceed it.
+	// CacheBytes is the stripe-cache budget over the on-disk bytes of
+	// the cached blocks, CRC tails included; 0 means DefaultCacheBytes.
+	// The accounted resident bytes never exceed it.
 	CacheBytes int64
 }
 
@@ -270,111 +270,143 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// readBlock reads and CRC-checks one data block's payload (the bytes
-// before the trailing CRC).
-func (db *DB) readBlock(off int64, length int, what string) ([]byte, error) {
+// readBlock reads one data block — its whole on-disk extent, CRC tail
+// included — and checks the CRC over the payload before it.
+func (db *DB) readBlock(k ckey, off int64, length int) ([]byte, error) {
 	buf := make([]byte, length)
 	if _, err := db.r.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("stripe: read %s: %w", what, err)
+		return nil, fmt.Errorf("stripe: read %v: %w", k, err)
 	}
 	payload := buf[:length-4]
 	want := binary.LittleEndian.Uint32(buf[length-4:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, fmt.Errorf("stripe: %s checksum mismatch: file %08x, computed %08x", what, want, got)
+		return nil, fmt.Errorf("stripe: %v checksum mismatch: file %08x, computed %08x", k, want, got)
 	}
-	return payload, nil
+	return buf, nil
 }
 
-// loadEntryStripe reads, checks and decodes one entry stripe, without
-// touching the cache.
-func (db *DB) loadEntryStripe(li, si int) ([]list.Entry, error) {
+// loadEntryStripe reads and checks one entry stripe in place, without
+// touching the cache, and returns its raw on-disk bytes (see entryAt).
+func (db *DB) loadEntryStripe(li, si int) ([]byte, error) {
 	st := db.ft.lists[li].stripes[si]
-	what := fmt.Sprintf("list %d stripe %d", li, si)
-	payload, err := db.readBlock(st.off, st.length, what)
+	k := ckey{kind: kindEntries, list: int32(li), idx: int32(si)}
+	buf, err := db.readBlock(k, st.off, st.length)
 	if err != nil {
 		return nil, err
 	}
-	if got := int(binary.LittleEndian.Uint32(payload[:4])); got != st.count {
-		return nil, fmt.Errorf("stripe: %s holds %d entries, footer says %d", what, got, st.count)
+	if got := int(binary.LittleEndian.Uint32(buf)); got != st.count {
+		return nil, fmt.Errorf("stripe: %v holds %d entries, footer says %d", k, got, st.count)
 	}
-	items := payload[4 : 4+4*st.count]
-	scores := payload[4+4*st.count:]
-	out := make([]list.Entry, st.count)
+	items := buf[4 : 4+4*st.count]
+	scores := buf[4+4*st.count : 4+12*st.count]
+	n := uint32(db.ft.n)
 	prev := math.Inf(1)
-	for j := range out {
-		item := int32(binary.LittleEndian.Uint32(items[4*j:]))
-		sc := math.Float64frombits(binary.LittleEndian.Uint64(scores[8*j:]))
-		if item < 0 || int(item) >= db.ft.n {
-			return nil, fmt.Errorf("stripe: %s position %d: item %d out of range [0,%d)", what, st.firstPos+j, item, db.ft.n)
+	// Reslice-and-advance: the length guards let the compiler drop every
+	// per-element bounds check. A negative item reads as a huge uint32,
+	// so one unsigned compare covers [0,n).
+	for j := 0; len(items) >= 4 && len(scores) >= 8; j++ {
+		item := binary.LittleEndian.Uint32(items)
+		sc := math.Float64frombits(binary.LittleEndian.Uint64(scores))
+		items, scores = items[4:], scores[8:]
+		if item >= n {
+			return nil, fmt.Errorf("stripe: %v position %d: item %d out of range [0,%d)", k, st.firstPos+j, int32(item), n)
 		}
 		if math.IsNaN(sc) {
-			return nil, fmt.Errorf("stripe: %s position %d: NaN score", what, st.firstPos+j)
+			return nil, fmt.Errorf("stripe: %v position %d: NaN score", k, st.firstPos+j)
 		}
 		if sc > prev {
-			return nil, fmt.Errorf("stripe: %s position %d: scores out of order (%v > %v)", what, st.firstPos+j, sc, prev)
+			return nil, fmt.Errorf("stripe: %v position %d: scores out of order (%v > %v)", k, st.firstPos+j, sc, prev)
 		}
 		prev = sc
-		out[j] = list.Entry{Item: list.ItemID(item), Score: sc}
 	}
 	// The fences are the index every fence-guided read trusts; a stripe
 	// that disagrees with its own footer record is corrupt.
-	if out[0].Score != st.maxScore || out[st.count-1].Score != st.minScore {
-		return nil, fmt.Errorf("stripe: %s scores [%v,%v] disagree with its fences [%v,%v]",
-			what, out[st.count-1].Score, out[0].Score, st.minScore, st.maxScore)
+	if hi, lo := scoreAt(buf, st.count, 0), prev; hi != st.maxScore || lo != st.minScore {
+		return nil, fmt.Errorf("stripe: %v scores [%v,%v] disagree with its fences [%v,%v]",
+			k, lo, hi, st.minScore, st.maxScore)
 	}
-	return out, nil
+	return buf, nil
 }
 
-// loadPosPage reads, checks and decodes one id→position page, without
-// touching the cache.
-func (db *DB) loadPosPage(li, pi int) ([]int32, error) {
+// loadPosPage reads and checks one id→position page in place, without
+// touching the cache, and returns its raw on-disk bytes (see posAt).
+func (db *DB) loadPosPage(li, pi int) ([]byte, error) {
 	pg := db.ft.lists[li].pages[pi]
-	what := fmt.Sprintf("list %d position page %d", li, pi)
-	payload, err := db.readBlock(pg.off, pg.length, what)
+	k := ckey{kind: kindPositions, list: int32(li), idx: int32(pi)}
+	buf, err := db.readBlock(k, pg.off, pg.length)
 	if err != nil {
 		return nil, err
 	}
-	if got := int(binary.LittleEndian.Uint32(payload[:4])); got != pg.count {
-		return nil, fmt.Errorf("stripe: %s holds %d items, footer says %d", what, got, pg.count)
+	if got := int(binary.LittleEndian.Uint32(buf)); got != pg.count {
+		return nil, fmt.Errorf("stripe: %v holds %d items, footer says %d", k, got, pg.count)
 	}
-	out := make([]int32, pg.count)
-	for j := range out {
-		p := int32(binary.LittleEndian.Uint32(payload[4+4*j:]))
-		if p < 1 || int(p) > db.ft.n {
-			return nil, fmt.Errorf("stripe: %s item %d: position %d out of range [1,%d]", what, pg.firstItem+j, p, db.ft.n)
+	// p-1 wraps for p == 0 (and for negative positions), so one unsigned
+	// compare checks 1 <= p <= n. Every random access lands on a page,
+	// so the fast loop checks four positions per compare; the scalar
+	// loop finishes the tail and pins the first bad position.
+	n := uint32(db.ft.n)
+	ps := buf[4 : 4+4*pg.count]
+	for len(ps) >= 16 && max(binary.LittleEndian.Uint32(ps)-1, binary.LittleEndian.Uint32(ps[4:])-1,
+		binary.LittleEndian.Uint32(ps[8:])-1, binary.LittleEndian.Uint32(ps[12:])-1) < n {
+		ps = ps[16:]
+	}
+	for j := pg.count - len(ps)/4; len(ps) >= 4; j++ {
+		p := binary.LittleEndian.Uint32(ps)
+		ps = ps[4:]
+		if p-1 >= n {
+			return nil, fmt.Errorf("stripe: %v item %d: position %d out of range [1,%d]", k, pg.firstItem+j, int32(p), n)
 		}
-		out[j] = p
 	}
-	return out, nil
+	return buf, nil
 }
 
-// entryStripe returns one entry stripe through the cache, panicking on
-// IO errors or corruption (see the package comment: reads after a
-// successful Open are fail-stop).
-func (db *DB) entryStripe(li, si int) []list.Entry {
-	v, err := db.cache.get(ckey{kind: kindEntries, list: int32(li), idx: int32(si)},
-		func() (any, int64, error) {
-			ents, err := db.loadEntryStripe(li, si)
-			return ents, int64(len(ents)) * 16, err
-		})
+// entryAt decodes entry j of a raw entry stripe holding count entries:
+// the item from the item column, the score from the score column.
+func entryAt(b []byte, count, j int) list.Entry {
+	return list.Entry{
+		Item:  list.ItemID(int32(binary.LittleEndian.Uint32(b[4+4*j:]))),
+		Score: scoreAt(b, count, j),
+	}
+}
+
+// scoreAt decodes only the score of entry j of a raw entry stripe.
+func scoreAt(b []byte, count, j int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[4+4*count+8*j:]))
+}
+
+// posAt decodes the position of the j-th item of a raw position page.
+func posAt(b []byte, j int) int {
+	return int(binary.LittleEndian.Uint32(b[4+4*j:]))
+}
+
+// block returns one raw block through the cache, loading and checking it
+// on a miss and panicking on IO errors or corruption (see the package
+// comment: reads after a successful Open are fail-stop).
+func (db *DB) block(k ckey) []byte {
+	if b, ok := db.cache.lookup(k); ok {
+		return b
+	}
+	var b []byte
+	var err error
+	if k.kind == kindEntries {
+		b, err = db.loadEntryStripe(int(k.list), int(k.idx))
+	} else {
+		b, err = db.loadPosPage(int(k.list), int(k.idx))
+	}
 	if err != nil {
 		panic(err)
 	}
-	return v.([]list.Entry)
+	return db.cache.insert(k, b)
 }
 
-// posPage returns one id→position page through the cache; fail-stop like
-// entryStripe.
-func (db *DB) posPage(li, pi int) []int32 {
-	v, err := db.cache.get(ckey{kind: kindPositions, list: int32(li), idx: int32(pi)},
-		func() (any, int64, error) {
-			ps, err := db.loadPosPage(li, pi)
-			return ps, int64(len(ps)) * 4, err
-		})
-	if err != nil {
-		panic(err)
-	}
-	return v.([]int32)
+// entryStripe returns the raw bytes of entry stripe si of list li.
+func (db *DB) entryStripe(li, si int) []byte {
+	return db.block(ckey{kind: kindEntries, list: int32(li), idx: int32(si)})
+}
+
+// posPage returns the raw bytes of position page pi of list li.
+func (db *DB) posPage(li, pi int) []byte {
+	return db.block(ckey{kind: kindPositions, list: int32(li), idx: int32(pi)})
 }
 
 // Verify streams every block of the file — bypassing the cache — and
@@ -389,30 +421,29 @@ func (db *DB) Verify() error {
 		for d := range posOf {
 			posOf[d] = 0
 		}
-		for si := range db.ft.lists[li].stripes {
-			ents, err := db.loadEntryStripe(li, si)
+		for si, st := range db.ft.lists[li].stripes {
+			b, err := db.loadEntryStripe(li, si)
 			if err != nil {
 				return err
 			}
-			firstPos := db.ft.lists[li].stripes[si].firstPos
-			for j, e := range ents {
-				if posOf[e.Item] != 0 {
+			for j := 0; j < st.count; j++ {
+				item := entryAt(b, st.count, j).Item
+				if posOf[item] != 0 {
 					return fmt.Errorf("stripe: list %d: item %d appears at positions %d and %d",
-						li, e.Item, posOf[e.Item], firstPos+j)
+						li, item, posOf[item], st.firstPos+j)
 				}
-				posOf[e.Item] = int32(firstPos + j)
+				posOf[item] = int32(st.firstPos + j)
 			}
 		}
-		for pi := range db.ft.lists[li].pages {
-			ps, err := db.loadPosPage(li, pi)
+		for pi, pg := range db.ft.lists[li].pages {
+			b, err := db.loadPosPage(li, pi)
 			if err != nil {
 				return err
 			}
-			firstItem := db.ft.lists[li].pages[pi].firstItem
-			for j, p := range ps {
-				if posOf[firstItem+j] != p {
+			for j := 0; j < pg.count; j++ {
+				if p := posAt(b, j); int(posOf[pg.firstItem+j]) != p {
 					return fmt.Errorf("stripe: list %d: position page says item %d is at %d, stripes place it at %d",
-						li, firstItem+j, p, posOf[firstItem+j])
+						li, pg.firstItem+j, p, posOf[pg.firstItem+j])
 				}
 			}
 		}
@@ -440,8 +471,8 @@ func (l *List) At(p int) list.Entry {
 		panic(fmt.Sprintf("stripe: position %d out of range [1,%d]", p, l.db.ft.n))
 	}
 	si := (p - 1) / l.db.ft.stripeCap
-	ents := l.db.entryStripe(l.idx, si)
-	return ents[(p-1)-si*l.db.ft.stripeCap]
+	b := l.db.entryStripe(l.idx, si)
+	return entryAt(b, l.db.ft.lists[l.idx].stripes[si].count, (p-1)-si*l.db.ft.stripeCap)
 }
 
 // PositionOf returns the 1-based position of item d, loading (at most)
@@ -451,8 +482,7 @@ func (l *List) PositionOf(d list.ItemID) int {
 		panic(fmt.Sprintf("stripe: item %d out of range [0,%d)", d, l.db.ft.n))
 	}
 	pi := int(d) / l.db.ft.posPageCap
-	ps := l.db.posPage(l.idx, pi)
-	return int(ps[int(d)-pi*l.db.ft.posPageCap])
+	return posAt(l.db.posPage(l.idx, pi), int(d)-pi*l.db.ft.posPageCap)
 }
 
 // ScoreOf returns the local score of item d: a position-page read plus a
@@ -480,7 +510,7 @@ func (l *List) SeekScore(t float64) int {
 		// position. No data block touched.
 		return st.firstPos
 	}
-	ents := l.db.entryStripe(l.idx, si)
-	j := sort.Search(len(ents), func(i int) bool { return ents[i].Score < t })
+	b := l.db.entryStripe(l.idx, si)
+	j := sort.Search(st.count, func(i int) bool { return scoreAt(b, st.count, i) < t })
 	return st.firstPos + j
 }

@@ -47,14 +47,17 @@
 // Open reads only the trailer and footer (O(stripes) bytes, resident for
 // the life of the DB); every data block is fetched on demand with pread
 // (io.ReaderAt) into an LRU cache with a configurable byte budget over
-// the decoded payloads. The resident total never exceeds the budget — a
-// block larger than the whole budget is served uncached — and cache
-// traffic is exported through internal/obs (hits, misses, evictions,
-// resident bytes) next to the transport catalogue.
+// the blocks' on-disk bytes. The cache keeps each block exactly as read
+// from the file, and a read decodes only the one item, score or position
+// it returns, so a block is accounted at its on-disk length (CRC tail
+// included) and nothing else is retained. The resident total never
+// exceeds the budget — a block larger than the whole budget is served
+// uncached — and cache traffic is exported through internal/obs (hits,
+// misses, evictions, resident bytes) next to the transport catalogue.
 //
-// Every block is CRC-checked and structurally validated as it is loaded
-// (in-stripe score order, fence agreement, item and position ranges), so
-// corruption surfaces at the first read that touches it. The Reader
+// Every block is CRC-checked and structurally validated in place as it
+// is loaded (in-stripe score order, fence agreement, item and position
+// ranges), so corruption surfaces at the first read that touches it. The Reader
 // surface has no error channel — like *list.List, out-of-range accesses
 // are programming errors — so a block that fails to load or validate
 // after a successful Open panics with a descriptive error: storage
@@ -79,11 +82,12 @@ import (
 // Format constants.
 const (
 	// DefaultStripeCap is the default number of entries per stripe:
-	// 4096 entries decode to 64 KiB, small enough that a point read
-	// wastes little and large enough that a scan amortizes the pread.
+	// 4096 entries are 48 KiB on disk (and in the cache), small enough
+	// that a point read wastes little and large enough that a scan
+	// amortizes the pread.
 	DefaultStripeCap = 4096
 	// DefaultPosPageCap is the default number of items per id→position
-	// page (32 KiB decoded).
+	// page (32 KiB on disk and in the cache).
 	DefaultPosPageCap = 8192
 	// DefaultCacheBytes is the default stripe-cache budget: 64 MiB.
 	DefaultCacheBytes = 64 << 20

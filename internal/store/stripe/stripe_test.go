@@ -3,10 +3,13 @@ package stripe
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"topk/internal/core"
@@ -102,8 +105,9 @@ func TestFileRoundTrip(t *testing.T) {
 func TestBoundedMemory(t *testing.T) {
 	const n, m = 20000, 4
 	db := genDB(t, n, m)
-	// Decoded entry payload: m lists x n entries x 16 bytes plus
-	// position pages (4 bytes each) — about 1.6 MB. Budget a tenth.
+	// m lists x n entries at 16 bytes plus 4 bytes of position page
+	// each — about 1.6 MB, a little over the 1.3 MB on disk. Budget a
+	// tenth.
 	total := int64(m*n*16 + m*n*4)
 	budget := total / 10
 	sdb := openBytes(t, db, WriteOptions{StripeCap: 512, PosPageCap: 1024}, Options{CacheBytes: budget})
@@ -162,7 +166,8 @@ func TestBoundedMemory(t *testing.T) {
 // uncached.
 func TestEviction(t *testing.T) {
 	db := genDB(t, 4096, 2)
-	// Stripes decode to 256*16 = 4 KiB; budget holds about two.
+	// Stripes are 4+256*12+4 = 3080 bytes on disk; the budget holds
+	// two.
 	sdb := openBytes(t, db, WriteOptions{StripeCap: 256, PosPageCap: 256}, Options{CacheBytes: 9 << 10})
 	for p := 1; p <= 4096; p += 16 {
 		sdb.List(0).At(p)
@@ -176,7 +181,7 @@ func TestEviction(t *testing.T) {
 		t.Fatalf("high-water %d over budget %d", st.MaxResident, st.Budget)
 	}
 
-	// A budget smaller than one decoded stripe: every read is served,
+	// A budget smaller than any one block: every read is served,
 	// nothing is admitted.
 	tiny := openBytes(t, db, WriteOptions{StripeCap: 256, PosPageCap: 256}, Options{CacheBytes: 100})
 	if got, want := tiny.List(0).At(1), db.List(0).At(1); got != want {
@@ -345,5 +350,90 @@ func TestCreateAtomic(t *testing.T) {
 	}
 	if _, err := os.Stat(sub); !os.IsNotExist(err) {
 		t.Fatalf("unexpected state: %v", err)
+	}
+}
+
+// TestLoadRejectsCorruptBlocks reaches every structural check a block
+// load runs behind its CRC: each case corrupts one field of a data block
+// and reseals the block's checksum, so only the in-place validation can
+// catch it. Verify must report it and a read touching the block must
+// panic.
+func TestLoadRejectsCorruptBlocks(t *testing.T) {
+	const n = 30
+	db := genDB(t, n, 1)
+	raw, err := WriteBytes(db, WriteOptions{StripeCap: 8, PosPageCap: 8})
+	if err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	footOff := binary.LittleEndian.Uint64(raw[len(raw)-trailerLen:])
+	ft, err := decodeFooter(raw[footOff : len(raw)-trailerLen])
+	if err != nil {
+		t.Fatalf("footer: %v", err)
+	}
+	st, pg := ft.lists[0].stripes[1], ft.lists[0].pages[1]
+	item := func(j int) int { return int(st.off) + 4 + 4*j }
+	score := func(j int) int { return int(st.off) + 4 + 4*st.count + 8*j }
+	putF := func(b []byte, at int, v float64) { binary.LittleEndian.PutUint64(b[at:], math.Float64bits(v)) }
+	putU := func(b []byte, at int, v uint32) { binary.LittleEndian.PutUint32(b[at:], v) }
+	readStripe := func(l *List) { l.At(st.firstPos) }
+
+	type corruption struct {
+		name, want  string
+		off, length int // the block to reseal
+		mutate      func(b []byte)
+		read        func(l *List)
+	}
+	inStripe := func(name, want string, mutate func(b []byte)) corruption {
+		return corruption{name, want, int(st.off), st.length, mutate, readStripe}
+	}
+	cases := []corruption{
+		inStripe("stripe count", "footer says", func(b []byte) { putU(b, int(st.off), uint32(st.count+1)) }),
+		inStripe("item too large", "out of range", func(b []byte) { putU(b, item(2), n) }),
+		inStripe("negative item", "out of range", func(b []byte) { putU(b, item(2), math.MaxUint32) }),
+		inStripe("NaN score", "NaN", func(b []byte) { putF(b, score(3), math.NaN()) }),
+		inStripe("unsorted scores", "out of order", func(b []byte) { putF(b, score(1), st.maxScore+1) }),
+		inStripe("fence disagreement", "fences", func(b []byte) { putF(b, score(0), st.maxScore+1) }),
+		{"page count", "footer says", int(pg.off), pg.length,
+			func(b []byte) { putU(b, int(pg.off), uint32(pg.count+1)) },
+			func(l *List) { l.PositionOf(list.ItemID(pg.firstItem)) }},
+	}
+	// A bad position in every slot of a full page and of the ragged
+	// last one, so each slot the range check visits is covered.
+	for _, pi := range []int{1, len(ft.lists[0].pages) - 1} {
+		pg := ft.lists[0].pages[pi]
+		for j := 0; j < pg.count; j++ {
+			for _, bad := range []uint32{0, n + 1, math.MaxUint32} {
+				at := int(pg.off) + 4 + 4*j
+				cases = append(cases, corruption{
+					fmt.Sprintf("page %d slot %d position %d", pi, j, int32(bad)),
+					fmt.Sprintf("item %d: position %d out of range", pg.firstItem+j, int32(bad)),
+					int(pg.off), pg.length,
+					func(b []byte) { putU(b, at, bad) },
+					func(l *List) { l.PositionOf(list.ItemID(pg.firstItem + j)) },
+				})
+			}
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := append([]byte{}, raw...)
+			c.mutate(b)
+			end := c.off + c.length - 4
+			putU(b, end, crc32.ChecksumIEEE(b[c.off:end]))
+			sdb, err := OpenReader(bytes.NewReader(b), int64(len(b)), Options{})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer sdb.Close()
+			if err := sdb.Verify(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Verify = %v, want an error containing %q", err, c.want)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("read of the corrupted block did not panic")
+				}
+			}()
+			c.read(sdb.List(0))
+		})
 	}
 }
