@@ -386,7 +386,7 @@ func BenchmarkConcurrentSessions(b *testing.B) {
 			closers = append(closers, ts.Close)
 			urls[i] = ts.URL
 		}
-		hc, err := transport.DialOwners(urls, nil)
+		hc, err := transport.Dial(context.Background(), transport.DialConfig{Topology: transport.SingleTopology(urls)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -539,7 +539,7 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 			c()
 		}
 	}()
-	hc, err := transport.DialOwners(urls, nil)
+	hc, err := transport.Dial(context.Background(), transport.DialConfig{Topology: transport.SingleTopology(urls)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -821,7 +821,7 @@ func BenchmarkPublicAPI(b *testing.B) {
 		b.Run(alg.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.TopK(Query{K: 20, Algorithm: alg}); err != nil {
+				if _, err := db.Exec(context.Background(), Query{K: 20, Algorithm: alg}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,7 +22,7 @@ func startCluster(t *testing.T, db *Database) *Cluster {
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	c, err := DialCluster(urls)
+	c, err := DialClusterConfig(context.Background(), ClusterConfig{Topology: transport.SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +43,7 @@ func TestClusterMatchesInProcess(t *testing.T) {
 		t.Fatalf("cluster dims %d/%d", c.N(), c.M())
 	}
 	for _, p := range Protocols() {
-		// The deprecated wrapper and the ctx front door must agree with
-		// each other and across backends.
-		want, err := db.RunDistributed(Query{K: 7}, p)
+		want, err := db.ExecDistributed(context.Background(), Query{K: 7}, p)
 		if err != nil {
 			t.Fatalf("%v in-process: %v", p, err)
 		}
@@ -61,40 +59,34 @@ func TestClusterMatchesInProcess(t *testing.T) {
 				t.Errorf("%v answer %d: %+v vs %+v", p, i, got.Items[i], want.Items[i])
 			}
 		}
-		if got.Stats.Messages != want.Stats.Messages || got.Stats.Payload != want.Stats.Payload ||
-			got.Stats.Rounds != want.Stats.Rounds || got.Stats.TotalAccesses != want.Stats.TotalAccesses {
+		if got.Stats.Net.Messages != want.Stats.Net.Messages || got.Stats.Net.Payload != want.Stats.Net.Payload ||
+			got.Stats.Net.Rounds != want.Stats.Net.Rounds || got.Stats.Net.TotalAccesses != want.Stats.Net.TotalAccesses {
 			t.Errorf("%v stats diverge: %+v vs %+v", p, got.Stats, want.Stats)
 		}
-		if got.Stats.Elapsed <= 0 {
+		if got.Stats.Net.Elapsed <= 0 {
 			t.Errorf("%v: cluster run reported no elapsed time", p)
 		}
 	}
 }
 
-// TestClusterValidation: dial and query failures are reported, not
-// mis-answered.
+// TestClusterValidation: query failures are reported, not mis-answered.
+// Dial failures are TestDialClusterConfigValidation's.
 func TestClusterValidation(t *testing.T) {
-	if _, err := DialCluster(nil); err == nil {
-		t.Error("empty owner set accepted")
-	}
-	if _, err := DialCluster([]string{"127.0.0.1:1"}); err == nil {
-		t.Error("unreachable owner accepted")
-	}
 	db, err := Generate(GenSpec{Kind: GenUniform, N: 50, M: 2, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := startCluster(t, db)
-	if _, err := c.RunDistributed(Query{K: 0}, DistBPA2); err == nil {
+	if _, err := c.Exec(context.Background(), Query{K: 0}, DistBPA2); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := c.RunDistributed(Query{K: 99}, DistBPA2); err == nil {
+	if _, err := c.Exec(context.Background(), Query{K: 99}, DistBPA2); err == nil {
 		t.Error("k>n accepted")
 	}
-	if _, err := c.RunDistributed(Query{K: 1}, Protocol(42)); err == nil {
+	if _, err := c.Exec(context.Background(), Query{K: 1}, Protocol(42)); err == nil {
 		t.Error("unknown protocol accepted")
 	}
-	if _, err := c.RunDistributed(Query{K: 1, Scoring: Min()}, TPUT); err == nil {
+	if _, err := c.Exec(context.Background(), Query{K: 1, Scoring: Min()}, TPUT); err == nil {
 		t.Error("TPUT with Min accepted")
 	}
 }

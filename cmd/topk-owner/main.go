@@ -1,7 +1,8 @@
 // Command topk-owner serves one sorted list as a distributed top-k owner
 // node over HTTP. A query originator (topk-query -owners, or the topk
-// package's DialCluster) drives the paper's protocols — TA, BPA, BPA2,
-// TPUT, TPUT-A — against a set of such owners, one process per list.
+// package's DialClusterConfig) drives the paper's protocols — TA, BPA,
+// BPA2, TPUT, TPUT-A — against a set of such owners, one process per
+// list.
 //
 // Every owner of a cluster must hold the same database (same file, or
 // -gen with the same parameters and seed) and serve a distinct list of

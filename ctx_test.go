@@ -3,7 +3,6 @@ package topk
 import (
 	"context"
 	"errors"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -66,37 +65,6 @@ func TestExecDeadline(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersMatchExec: the kept pre-context signatures must
-// stay bit-identical to their Exec equivalents.
-func TestDeprecatedWrappersMatchExec(t *testing.T) {
-	db, err := Generate(GenSpec{Kind: GenUniform, N: 400, M: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := db.TopK(Query{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := db.Exec(context.Background(), Query{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old.Items, now.Items) || old.Stats.Cost != now.Stats.Cost {
-		t.Errorf("TopK and Exec diverge: %+v vs %+v", old, now)
-	}
-	oldD, err := db.RunDistributed(Query{K: 5}, DistBPA2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nowD, err := db.ExecDistributed(context.Background(), Query{K: 5}, DistBPA2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldD.Items, nowD.Items) || oldD.Stats.Messages != nowD.Stats.Messages {
-		t.Errorf("RunDistributed and ExecDistributed diverge: %+v vs %+v", oldD, nowD)
-	}
-}
-
 // TestProgressiveCtxCancel: cancellation between Next calls ends the
 // enumeration — Next goes false, Err reports why — while everything
 // delivered before the cancel stays valid.
@@ -129,13 +97,14 @@ func TestProgressiveCtxCancel(t *testing.T) {
 	if it.Delivered() != 1 {
 		t.Errorf("Delivered() = %d, want 1", it.Delivered())
 	}
-	// The deprecated no-context constructor still enumerates fully.
-	it2, err := db.Progressive(ProgressiveQuery{})
+	// A fresh enumeration under a live context is untouched by the
+	// cancelled one.
+	it2, err := db.ProgressiveCtx(context.Background(), ProgressiveQuery{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := it2.Next(); !ok || it2.Err() != nil {
-		t.Errorf("deprecated Progressive broken: ok=%v err=%v", ok, it2.Err())
+		t.Errorf("fresh enumeration broken: ok=%v err=%v", ok, it2.Err())
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 	"topk/internal/transport"
 )
 
-// Protocol selects a distributed top-k protocol for RunDistributed.
+// Protocol selects a distributed top-k protocol for ExecDistributed and
+// Cluster.Exec.
 type Protocol uint8
 
 const (
@@ -195,8 +196,7 @@ func traceSpansOf(spans []transport.Span) []TraceSpan {
 
 // DistStats reports the accounting of a distributed run: the stable
 // network profile in Net and the failures the run absorbed in
-// Recovery. The flat fields mirror Net for callers written against the
-// pre-recovery layout; they are deprecated and will be removed.
+// Recovery.
 type DistStats struct {
 	// Net is the network profile — identical to an undisturbed run even
 	// when the query was restarted or handed off.
@@ -208,21 +208,6 @@ type DistStats struct {
 	// WithTrace; nil otherwise. On a restarted query it covers the
 	// completing attempt — the one Net accounts for.
 	Trace []TraceSpan
-
-	// Deprecated: read Net.Messages.
-	Messages int64
-	// Deprecated: read Net.Payload.
-	Payload int64
-	// Deprecated: read Net.Rounds.
-	Rounds int
-	// Deprecated: read Net.Exchanges.
-	Exchanges int64
-	// Deprecated: read Net.PerOwner (same backing array).
-	PerOwner []int64
-	// Deprecated: read Net.TotalAccesses.
-	TotalAccesses int64
-	// Deprecated: read Net.Elapsed.
-	Elapsed time.Duration
 }
 
 // DistResult is a completed distributed query.
@@ -253,34 +238,25 @@ func runnerFor(protocol Protocol) (func(context.Context, transport.Transport, di
 // distStatsOf adapts a dist result's accounting. PerOwner is copied:
 // the runner's slice is live internal accounting state, and handing it
 // out would let a caller's mutation corrupt anything else derived from
-// the same run (the DHT pricing reads it too). The deprecated flat
-// mirrors share that one copy with Net.PerOwner.
+// the same run (the DHT pricing reads it too).
 func distStatsOf(res *dist.Result) DistStats {
-	net := NetStats{
-		Messages:      res.Net.Messages,
-		Payload:       res.Net.Payload,
-		Rounds:        res.Net.Rounds,
-		Exchanges:     res.Net.Exchanges,
-		PerOwner:      append([]int64(nil), res.Net.PerOwner...),
-		TotalAccesses: res.Accesses.Total(),
-		Elapsed:       res.Elapsed,
-	}
 	return DistStats{
-		Net: net,
+		Net: NetStats{
+			Messages:      res.Net.Messages,
+			Payload:       res.Net.Payload,
+			Rounds:        res.Net.Rounds,
+			Exchanges:     res.Net.Exchanges,
+			PerOwner:      append([]int64(nil), res.Net.PerOwner...),
+			TotalAccesses: res.Accesses.Total(),
+			Elapsed:       res.Elapsed,
+		},
 		Recovery: RecoveryStats{
 			Restarts:       res.Recovery.Restarts,
 			Handoffs:       res.Recovery.Handoffs,
 			FailedReplicas: res.Recovery.FailedReplicas,
 			Backpressure:   res.Recovery.Backpressure,
 		},
-		Trace:         traceSpansOf(res.Trace),
-		Messages:      net.Messages,
-		Payload:       net.Payload,
-		Rounds:        net.Rounds,
-		Exchanges:     net.Exchanges,
-		PerOwner:      net.PerOwner,
-		TotalAccesses: net.TotalAccesses,
-		Elapsed:       net.Elapsed,
+		Trace: traceSpansOf(res.Trace),
 	}
 }
 
@@ -548,23 +524,13 @@ func runOver(ctx context.Context, t transport.Transport, q Query, protocol Proto
 // per-exchange granularity. opts override per-query execution settings
 // (the in-process transport cannot fail, so restart options are
 // accepted but moot; WithTimeout applies). For real HTTP owners see
-// DialCluster.
+// DialClusterConfig.
 func (db *Database) ExecDistributed(ctx context.Context, q Query, protocol Protocol, opts ...ExecOption) (*DistResult, error) {
 	t, err := transport.NewLoopback(db.db)
 	if err != nil {
 		return nil, err
 	}
 	return runOver(ctx, t, q, protocol, db.NameOf, resolveExec(execSettings{}, opts))
-}
-
-// RunDistributed executes the query in the simulated distributed setting
-// without a context.
-//
-// Deprecated: use ExecDistributed, which adds cancellation and
-// deadlines; RunDistributed is equivalent to
-// ExecDistributed(context.Background(), q, protocol).
-func (db *Database) RunDistributed(q Query, protocol Protocol) (*DistResult, error) {
-	return db.ExecDistributed(context.Background(), q, protocol)
 }
 
 // RoutingPolicy selects which replica of a list serves each exchange of
@@ -637,7 +603,8 @@ func ParseTopology(s string) ([][]string, error) {
 //
 //	topk.DialClusterConfig(ctx, topk.ClusterConfig{Topology: topo})
 //
-// behaves like DialCluster with failover armed.
+// routes to each list's primary replica, fails over and hands sessions
+// off when a replica dies, and leaves query restart off.
 type ClusterConfig struct {
 	// Topology maps every list to its replica set: Topology[i] holds the
 	// addresses ("host:port" or full URLs) of the owner processes
@@ -758,26 +725,6 @@ func DialClusterConfig(ctx context.Context, cfg ClusterConfig) (*Cluster, error)
 	}, nil
 }
 
-// DialCluster connects to a flat owner set; owners[i] ("host:port" or a
-// full URL) must serve list i. It is exactly
-// DialClusterConfig(context.Background(), ClusterConfig{Topology: one
-// replica per list}): every owner must agree on the list length and the
-// number of lists, all sessions share one pooled HTTP client, every
-// request is bounded by a per-request timeout and — when replaying it
-// cannot change what the query observes — retried once on transient
-// failures (connection errors, 5xx), with the failing owner named in
-// the returned error. Every exchange travels in the binary wire codec,
-// and an owner whose handshake does not advertise it fails the dial.
-// For replicated lists, routing policies and mid-query failover, see
-// DialClusterConfig.
-func DialCluster(owners []string) (*Cluster, error) {
-	topo := make([][]string, len(owners))
-	for i, o := range owners {
-		topo[i] = []string{o}
-	}
-	return DialClusterConfig(context.Background(), ClusterConfig{Topology: topo})
-}
-
 // N returns the shared list length of the cluster.
 func (c *Cluster) N() int { return c.t.N() }
 
@@ -837,16 +784,6 @@ func (c *Cluster) Health() []ReplicaHealth {
 // dictionary.
 func (c *Cluster) Exec(ctx context.Context, q Query, protocol Protocol, opts ...ExecOption) (*DistResult, error) {
 	return runOver(ctx, c.t, q, protocol, nil, resolveExec(c.defaults, opts))
-}
-
-// RunDistributed executes the query against the cluster without a
-// context.
-//
-// Deprecated: use Exec, which adds cancellation and deadlines;
-// RunDistributed is equivalent to Exec(context.Background(), q,
-// protocol).
-func (c *Cluster) RunDistributed(q Query, protocol Protocol) (*DistResult, error) {
-	return c.Exec(context.Background(), q, protocol)
 }
 
 // Close stops the cluster's background health prober and releases its

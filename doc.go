@@ -59,19 +59,6 @@
 // stream (Next false, Err reports why), and everything delivered before
 // the deadline remains a correct prefix of the ranking.
 //
-// # Migration from the pre-context API
-//
-// The context-free signatures remain as thin deprecated wrappers, each
-// exactly equivalent to its replacement under context.Background():
-//
-//	db.TopK(q)                    -> db.Exec(ctx, q)
-//	db.Progressive(q)             -> db.ProgressiveCtx(ctx, q)
-//	db.RunDistributed(q, p)       -> db.ExecDistributed(ctx, q, p)
-//	cluster.RunDistributed(q, p)  -> cluster.Exec(ctx, q, p)
-//
-// Answers, Stats and access accounting are bit-identical between a
-// wrapper and its ctx form; only cancellation behavior is new.
-//
 // # Distributed execution
 //
 // ExecDistributed executes the query in the paper's distributed setting
@@ -137,9 +124,9 @@
 // trigger m-1 lookups per owner per round, collapse from m round-trips
 // per round to two; BPA2 and TPUT already address each owner at most
 // once per fan-out and are untouched. Batching is per-owner, per-round,
-// single-session wire mechanics: DistStats.Messages, Payload and
+// single-session wire mechanics: NetStats.Messages, Payload and
 // PerOwner keep charging the logical messages (the paper's cost
-// metrics), while DistStats.Exchanges counts the wire round-trips a
+// metrics), while NetStats.Exchanges counts the wire round-trips a
 // deployment actually pays.
 //
 // On the HTTP backend every exchange travels in one codec: a
@@ -152,8 +139,8 @@
 // reports the wire bytes per query of each protocol.
 //
 // The HTTP backend is a real cluster: cmd/topk-owner serves one list
-// per process, and DialCluster (or topk-query -owners) drives the same
-// protocols against it:
+// per process, and DialClusterConfig (or topk-query -owners) drives the
+// same protocols against it:
 //
 //	topk-owner -gen uniform -n 10000 -m 2 -seed 7 -list 0 -addr localhost:9001 &
 //	topk-owner -gen uniform -n 10000 -m 2 -seed 7 -list 1 -addr localhost:9002 &
@@ -181,8 +168,8 @@
 // per-list replica sets, a routing policy, the health-check cadence and
 // the per-request timeout/retry budget — dialed with DialClusterConfig;
 // ParseTopology accepts the CLI syntax (replicas |-separated within a
-// list, lists comma-separated), and DialCluster remains the flat
-// one-replica-per-list shape. Every replica of a list serves the same
+// list, lists comma-separated), and a flat cluster is simply a topology
+// of one-replica lists. Every replica of a list serves the same
 // list of the same database (validated at dial time); a background
 // prober polls replica health and an EWMA of round-trip latency.
 //
@@ -257,13 +244,10 @@
 // restarted attempts report only the final run — and Recovery, which
 // tallies Restarts, Handoffs and FailedReplicas for the run. The ledger
 // is the session's only access tally, on flat and replicated
-// topologies alike, so reading a run's accesses costs no request. The
-// flat DistStats fields (Messages, Payload, Rounds, Exchanges,
-// PerOwner, TotalAccesses, Elapsed) are deprecated mirrors of Net kept
-// for one release; read Net.* (and Recovery) instead. /v1/dist reports
-// the same split as "net" and "recovery" JSON blocks and accepts a
-// restart= query parameter; topk-query prints the recovery line under
-// -verbose, or whenever any recovery happened.
+// topologies alike, so reading a run's accesses costs no request.
+// /v1/dist reports the same split as "net" and "recovery" JSON blocks
+// and accepts a restart= query parameter; topk-query prints the
+// recovery line under -verbose, or whenever any recovery happened.
 //
 // Answers, Messages, Payload, Rounds and access counts stay
 // bit-identical to a single-owner run whatever routed, failed over,

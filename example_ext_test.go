@@ -1,6 +1,7 @@
 package topk_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -10,7 +11,7 @@ import (
 // Progressive enumeration: retrieve answers rank by rank without fixing
 // k upfront. Each answer is certified against everything unseen before
 // it is returned.
-func ExampleDatabase_Progressive() {
+func ExampleDatabase_ProgressiveCtx() {
 	db, err := topk.FromColumns([][]float64{
 		{30, 11, 26, 28, 17},
 		{21, 28, 14, 13, 24},
@@ -19,7 +20,7 @@ func ExampleDatabase_Progressive() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	it, err := db.Progressive(topk.ProgressiveQuery{})
+	it, err := db.ProgressiveCtx(context.Background(), topk.ProgressiveQuery{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func ExampleQuery_nra() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.TopK(topk.Query{K: 2, Algorithm: topk.NRA})
+	res, err := db.Exec(context.Background(), topk.Query{K: 2, Algorithm: topk.NRA})
 	if err != nil {
 		log.Fatal(err)
 	}

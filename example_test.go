@@ -1,6 +1,7 @@
 package topk_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -9,7 +10,7 @@ import (
 )
 
 // The simplest possible use: columns in, ranked answers out.
-func ExampleDatabase_TopK() {
+func ExampleDatabase_Exec() {
 	db, err := topk.FromColumns([][]float64{
 		{30, 11, 26}, // list 1: local scores of items 0, 1, 2
 		{21, 28, 14}, // list 2
@@ -18,7 +19,7 @@ func ExampleDatabase_TopK() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.TopK(topk.Query{K: 2})
+	res, err := db.Exec(context.Background(), topk.Query{K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func ExampleFromNamedScores() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.TopK(topk.Query{K: 1})
+	res, err := db.Exec(context.Background(), topk.Query{K: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,11 +55,11 @@ func ExampleQuery_algorithms() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ta, err := db.TopK(topk.Query{K: 5, Algorithm: topk.TA})
+	ta, err := db.Exec(context.Background(), topk.Query{K: 5, Algorithm: topk.TA})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bpa2, err := db.TopK(topk.Query{K: 5, Algorithm: topk.BPA2})
+	bpa2, err := db.Exec(context.Background(), topk.Query{K: 5, Algorithm: topk.BPA2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func ExampleDatabase_Explain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := db.Explain(topk.Query{K: 1, Algorithm: topk.TA}, os.Stdout); err != nil {
+	if _, err := db.Explain(context.Background(), topk.Query{K: 1, Algorithm: topk.TA}, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 	// Output:
@@ -91,17 +92,17 @@ func ExampleDatabase_Explain() {
 }
 
 // Distributed execution reports simulated network traffic.
-func ExampleDatabase_RunDistributed() {
+func ExampleDatabase_ExecDistributed() {
 	db, err := topk.Generate(topk.GenSpec{Kind: topk.GenUniform, N: 500, M: 3, Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.RunDistributed(topk.Query{K: 3}, topk.DistBPA2)
+	res, err := db.ExecDistributed(context.Background(), topk.Query{K: 3}, topk.DistBPA2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("answers:", len(res.Items))
-	fmt.Println("messages even:", res.Stats.Messages%2 == 0)
+	fmt.Println("messages even:", res.Stats.Net.Messages%2 == 0)
 	// Output:
 	// answers: 3
 	// messages even: true

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -30,10 +31,11 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	db := buildMonitorLists()
 	fmt.Printf("monitors: %d, distinct URLs: %d\n\n", db.M(), db.N())
 
-	res, err := db.RunDistributed(topk.Query{K: topN}, topk.DistBPA2)
+	res, err := db.ExecDistributed(ctx, topk.Query{K: topN}, topk.DistBPA2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,12 +47,12 @@ func main() {
 	fmt.Println("\nsimulated network traffic per protocol (same query):")
 	fmt.Printf("  %-10s  %10s  %10s  %8s\n", "protocol", "messages", "payload", "rounds")
 	for _, p := range topk.Protocols() {
-		r, err := db.RunDistributed(topk.Query{K: topN}, p)
+		r, err := db.ExecDistributed(ctx, topk.Query{K: topN}, p)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %-10s  %10d  %10d  %8d\n",
-			p, r.Stats.Messages, r.Stats.Payload, r.Stats.Rounds)
+			p, r.Stats.Net.Messages, r.Stats.Net.Payload, r.Stats.Net.Rounds)
 	}
 	fmt.Println("\nTPUT batches whole phases into single round trips; the BPA2")
 	fmt.Println("protocol wins on per-access traffic because every probe lands on")

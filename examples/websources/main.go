@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -32,6 +33,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	// List 0: rating index (scannable). List 1: proximity score from the
 	// mapping service (lookup-only).
 	sortable := []bool{true, false}
@@ -47,7 +49,7 @@ func main() {
 		fmt.Printf("%s — top-%d of %d restaurants by rating + proximity\n",
 			workload.name, keep, restaurants)
 		for _, alg := range []topk.Algorithm{topk.TA, topk.BPA} {
-			res, err := db.TopK(topk.Query{K: keep, Algorithm: alg, Sortable: sortable})
+			res, err := db.Exec(ctx, topk.Query{K: keep, Algorithm: alg, Sortable: sortable})
 			if err != nil {
 				log.Fatal(err)
 			}

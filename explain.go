@@ -52,10 +52,12 @@ func (a onRoundAdapter) Round(info core.RoundInfo) {
 // Explain runs the query while writing a round-by-round walkthrough — the
 // format of the paper's Examples 2 and 3 — to w, and returns the result.
 // Only the threshold algorithms (TA, BPA, BPA2) produce rounds; for FA
-// and Naive the trace is empty.
-func (db *Database) Explain(q Query, w io.Writer) (*Result, error) {
+// and Naive the trace is empty. ctx cancels or bounds the run exactly as
+// for Exec; a cancelled run writes nothing to w.
+func (db *Database) Explain(ctx context.Context, q Query, w io.Writer) (*Result, error) {
 	var log trace.Log
-	res, err := db.topKObserved(q, &log)
+	q.onRoundObserver = &log
+	res, err := db.Exec(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -71,16 +73,6 @@ func scoringName(s Scoring) string {
 		return Sum().Name()
 	}
 	return s.Name()
-}
-
-// topKObserved is Exec with an internal observer attached; it also backs
-// Query.OnRound. Explain walkthroughs are interactive one-shots, so they
-// run uncancellable under the background context.
-func (db *Database) topKObserved(q Query, obs core.Observer) (*Result, error) {
-	saved := q.onRoundObserver
-	q.onRoundObserver = obs
-	defer func() { q.onRoundObserver = saved }()
-	return db.Exec(context.Background(), q)
 }
 
 // WithOnRound returns a copy of the query that calls fn after every round

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -27,7 +28,7 @@ func paperFig1DB(t *testing.T) *Database {
 func TestExplainTA(t *testing.T) {
 	db := paperFig1DB(t)
 	var buf bytes.Buffer
-	res, err := db.Explain(Query{K: 3, Algorithm: TA}, &buf)
+	res, err := db.Explain(context.Background(), Query{K: 3, Algorithm: TA}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestExplainTA(t *testing.T) {
 func TestExplainBPA(t *testing.T) {
 	db := paperFig1DB(t)
 	var buf bytes.Buffer
-	res, err := db.Explain(Query{K: 3, Algorithm: BPA}, &buf)
+	res, err := db.Explain(context.Background(), Query{K: 3, Algorithm: BPA}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestExplainBPA(t *testing.T) {
 func TestExplainNaiveIsEmpty(t *testing.T) {
 	db := paperFig1DB(t)
 	var buf bytes.Buffer
-	if _, err := db.Explain(Query{K: 3, Algorithm: Naive}, &buf); err != nil {
+	if _, err := db.Explain(context.Background(), Query{K: 3, Algorithm: Naive}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	// Title and header only; Naive reports no rounds.
@@ -77,7 +78,7 @@ func TestExplainNaiveIsEmpty(t *testing.T) {
 func TestExplainPropagatesErrors(t *testing.T) {
 	db := paperFig1DB(t)
 	var buf bytes.Buffer
-	if _, err := db.Explain(Query{K: 0}, &buf); err == nil {
+	if _, err := db.Explain(context.Background(), Query{K: 0}, &buf); err == nil {
 		t.Error("invalid query accepted")
 	}
 }
@@ -88,7 +89,7 @@ func TestWithOnRound(t *testing.T) {
 	q := Query{K: 3, Algorithm: BPA2}.WithOnRound(func(r Round) {
 		rounds = append(rounds, r)
 	})
-	if _, err := db.TopK(q); err != nil {
+	if _, err := db.Exec(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	if len(rounds) == 0 {
@@ -116,7 +117,7 @@ func TestWithOnRoundDoesNotMutateOriginal(t *testing.T) {
 		t.Error("WithOnRound mutated the receiver")
 	}
 	// The original query still runs without observation.
-	if _, err := db.TopK(q); err != nil {
+	if _, err := db.Exec(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -158,7 +158,7 @@ func Query(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stdout, "%-10s  skipped: %v\n", p, err)
 				continue
 			}
-			fmt.Fprintf(stdout, "%-10s  %12d  %12d  %8d\n", p, res.Stats.Messages, res.Stats.Payload, res.Stats.Rounds)
+			fmt.Fprintf(stdout, "%-10s  %12d  %12d  %8d\n", p, res.Stats.Net.Messages, res.Stats.Net.Payload, res.Stats.Net.Rounds)
 		}
 		return 0
 	}
@@ -171,7 +171,7 @@ func Query(args []string, stdout, stderr io.Writer) int {
 	q := topk.Query{K: *k, Algorithm: alg, Scoring: sc, Approximation: *theta, Parallel: *par}
 	var res *topk.Result
 	if *explain {
-		res, err = db.Explain(q, stdout)
+		res, err = db.Explain(ctx, q, stdout)
 		if err != nil {
 			fmt.Fprintf(stderr, "topk-query: query: %v\n", err)
 			return 1

@@ -87,7 +87,7 @@ type Options struct {
 	// at access granularity (every sorted/probe round of the threshold
 	// algorithms, every position of the scan baselines) and abort with
 	// Ctx.Err() once it is canceled or past its deadline. Nil means
-	// uncancellable, matching the pre-context API.
+	// uncancellable.
 	Ctx context.Context
 	// K is the number of answers requested; 1 <= K <= n.
 	K int

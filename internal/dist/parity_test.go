@@ -67,7 +67,7 @@ func httpCluster(t *testing.T, db *list.Database) *transport.HTTPClient {
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	hc, err := transport.DialOwners(urls, nil)
+	hc, err := transport.Dial(context.Background(), transport.DialConfig{Topology: transport.SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestCancellationReleasesSessions(t *testing.T) {
 		srvs[i] = srv
 		urls[i] = ts.URL
 	}
-	hc, err := transport.DialOwners(urls, nil)
+	hc, err := transport.Dial(context.Background(), transport.DialConfig{Topology: transport.SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}

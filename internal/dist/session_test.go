@@ -143,7 +143,7 @@ func TestHTTPStatsNetworkFree(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	hc, err := transport.DialOwners(urls, nil)
+	hc, err := transport.Dial(context.Background(), transport.DialConfig{Topology: transport.SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}

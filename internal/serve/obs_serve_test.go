@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -33,7 +34,7 @@ func clusterBackedServer(t *testing.T) *httptest.Server {
 		t.Cleanup(ots.Close)
 		urls[i] = ots.URL
 	}
-	cluster, err := topk.DialCluster(urls)
+	cluster, err := topk.DialClusterConfig(context.Background(), topk.ClusterConfig{Topology: transport.SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}

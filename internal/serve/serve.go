@@ -514,14 +514,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "explain is a sequential walkthrough; drop parallel")
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	var buf strings.Builder
 	start := time.Now()
-	res, err := s.db.Explain(q, &buf)
+	res, err := s.db.Explain(r.Context(), q, &buf)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, execStatus(err), "%v", err)
 		return
 	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "%s", buf.String())
 	fmt.Fprintf(w, "\ntop-%d (%s, %s):\n", q.K, res.Algorithm, time.Since(start).Round(time.Microsecond))
 	for i, it := range res.Items {

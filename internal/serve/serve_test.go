@@ -293,7 +293,7 @@ func TestDistOverCluster(t *testing.T) {
 		t.Cleanup(ots.Close)
 		urls[i] = ots.URL
 	}
-	cluster, err := topk.DialCluster(urls)
+	cluster, err := topk.DialClusterConfig(context.Background(), topk.ClusterConfig{Topology: transport.SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestClusterMismatchRejected(t *testing.T) {
 		t.Cleanup(ots.Close)
 		urls[i] = ots.URL
 	}
-	cluster, err := topk.DialCluster(urls)
+	cluster, err := topk.DialClusterConfig(context.Background(), topk.ClusterConfig{Topology: transport.SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestDistClusterOutage(t *testing.T) {
 		owners[i] = httptest.NewServer(osrv.Handler())
 		urls[i] = owners[i].URL
 	}
-	cluster, err := topk.DialCluster(urls)
+	cluster, err := topk.DialClusterConfig(context.Background(), topk.ClusterConfig{Topology: transport.SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,6 +509,22 @@ func TestExplain(t *testing.T) {
 	}
 	// Parallel explain is refused.
 	getJSON(t, ts.URL+"/v1/explain?k=2&parallel=true", http.StatusBadRequest, nil)
+}
+
+// TestExplainHonorsCancel: /v1/explain runs under the request context
+// like /v1/topk, so a client that is already gone gets 504 instead of a
+// walkthrough computed for nobody.
+func TestExplainHonorsCancel(t *testing.T) {
+	h := testServer(t).Config.Handler
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, path := range []string{"/v1/topk?k=2", "/v1/explain?k=2&alg=bpa"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Errorf("%s on a cancelled request: status %d, want %d", path, rec.Code, http.StatusGatewayTimeout)
+		}
+	}
 }
 
 func TestUnknownPath(t *testing.T) {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -75,8 +76,8 @@ func TestAboveSeekScoreParity(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			sid := fmt.Sprintf("parity-%d", i)
 			for j, req := range sc.reqs {
-				want, werr := ram.Handle(sid, req)
-				got, gerr := seek.Handle(sid, req)
+				want, werr := ram.HandleContext(context.Background(), sid, req)
+				got, gerr := seek.HandleContext(context.Background(), sid, req)
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("req %d: errors diverge: ram %v, stripe %v", j, werr, gerr)
 				}

@@ -535,8 +535,7 @@ type DialConfig struct {
 }
 
 // DefaultRetries is the retry budget of a replayable exchange when the
-// dial config leaves it zero: one extra attempt, the pre-replica
-// behaviour.
+// dial config leaves it zero: one extra attempt.
 const DefaultRetries = 1
 
 // HTTPClient is the originator side of the HTTP backend: per-replica
@@ -615,13 +614,6 @@ func NormalizeOwnerURL(s string) string {
 // carry a whole list tail.
 const DefaultTimeout = 30 * time.Second
 
-// DialOwners connects to a flat owner set — urls[i] serves list i, one
-// replica per list — with default policy, timeouts and health cadence.
-// The pre-topology Dial shape, kept for the single-owner callers.
-func DialOwners(urls []string, hc *http.Client) (*HTTPClient, error) {
-	return Dial(context.Background(), DialConfig{Topology: SingleTopology(urls), Client: hc})
-}
-
 // Dial connects to the owner processes of cfg.Topology and validates the
 // cluster: every replica of list i must report list index i, the shared
 // list length, a database of exactly len(Topology) lists, and the
@@ -691,8 +683,7 @@ func Dial(ctx context.Context, cfg DialConfig) (*HTTPClient, error) {
 	}
 	// The prober only pays off when routing has a choice to make: a flat
 	// one-replica-per-list cluster is always routed to its only replica
-	// whatever the verdict, and the pre-replica dial spawned no
-	// background work — keep that for flat callers.
+	// whatever the verdict, so it spawns no background work.
 	if interval > 0 && t.replicated {
 		t.startProber(interval)
 	}
@@ -800,14 +791,6 @@ func (t *HTTPClient) handshake(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// SetRequestTimeout changes the per-attempt bound on every subsequent
-// exchange (default DefaultTimeout). Set it before opening sessions.
-func (t *HTTPClient) SetRequestTimeout(d time.Duration) {
-	if d > 0 {
-		t.reqTimeout = d
-	}
 }
 
 // M returns the number of owners (lists).

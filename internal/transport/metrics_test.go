@@ -22,7 +22,7 @@ func TestMetricsExposition(t *testing.T) {
 
 	db := testDB(t)
 	urls, _ := startHTTPOwners(t, db)
-	hc, err := DialOwners(urls, nil)
+	hc, err := Dial(context.Background(), DialConfig{Topology: SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestMetricsDisabledFrozen(t *testing.T) {
 
 	db := testDB(t)
 	urls, _ := startHTTPOwners(t, db)
-	hc, err := DialOwners(urls, nil)
+	hc, err := Dial(context.Background(), DialConfig{Topology: SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}

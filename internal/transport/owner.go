@@ -605,23 +605,20 @@ func (o *Owner) SyncSession(sid string, ranges [][2]int, depth int) error {
 	return nil
 }
 
-// Handle serves one request inside the given session. Exchanges of the
-// same session are serialized; exchanges of distinct sessions are not. A
-// batch request executes atomically: its inner requests run in order
-// under one hold of the session mutex, so no other exchange of the same
-// session can interleave with a coalesced round.
-func (o *Owner) Handle(sid string, req Request) (Response, error) {
-	return o.HandleContext(context.Background(), sid, req)
-}
-
-// HandleContext is Handle under a caller deadline: the context carries
-// the exchange's slice of the originator's remaining query deadline
-// (on the HTTP server, parsed off the wire; in-process backends pass
-// their query context directly). Handlers whose work scales with the
-// list — above, topk, fetch, batch — poll it and abandon the exchange
-// with the context's error once the caller is dead, so an owner never
-// burns a scan on a query nobody is waiting for. Work already done
-// stays done and stays charged, like a batch aborting midway.
+// HandleContext serves one request inside the given session. Exchanges
+// of the same session are serialized; exchanges of distinct sessions are
+// not. A batch request executes atomically: its inner requests run in
+// order under one hold of the session mutex, so no other exchange of the
+// same session can interleave with a coalesced round.
+//
+// The context carries the exchange's slice of the originator's
+// remaining query deadline (on the HTTP server, parsed off the wire;
+// in-process backends pass their query context directly). Handlers
+// whose work scales with the list — above, topk, fetch, batch — poll it
+// and abandon the exchange with the context's error once the caller is
+// dead, so an owner never burns a scan on a query nobody is waiting
+// for. Work already done stays done and stays charged, like a batch
+// aborting midway.
 func (o *Owner) HandleContext(ctx context.Context, sid string, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

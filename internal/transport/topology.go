@@ -39,8 +39,7 @@ import (
 type Topology [][]string
 
 // SingleTopology lifts a flat owner set (urls[i] serves list i) into a
-// one-replica-per-list topology — the shape DialOwners and the
-// pre-replica DialCluster API dial.
+// one-replica-per-list topology.
 func SingleTopology(urls []string) Topology {
 	tp := make(Topology, len(urls))
 	for i, u := range urls {

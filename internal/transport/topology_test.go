@@ -792,9 +792,8 @@ func TestExhaustedStatelessIsNotOwnerFailedError(t *testing.T) {
 	}
 }
 
-// TestFlatDialSpawnsNoProber: the pre-replica dial spawned no background
-// goroutines; a flat topology must keep that, while a replicated one
-// runs the prober until Close.
+// TestFlatDialSpawnsNoProber: a flat topology spawns no background
+// goroutines, while a replicated one runs the prober until Close.
 func TestFlatDialSpawnsNoProber(t *testing.T) {
 	one := gen.MustGenerate(gen.Spec{Kind: gen.Uniform, N: 40, M: 1, Seed: 3})
 	srv, err := NewServer(one, 0)
@@ -803,7 +802,7 @@ func TestFlatDialSpawnsNoProber(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	flat, err := DialOwners([]string{ts.URL}, nil)
+	flat, err := Dial(context.Background(), DialConfig{Topology: SingleTopology([]string{ts.URL})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestOwnerHandlers(t *testing.T) {
 	}
 	l := db.List(1)
 
-	resp, err := o.Handle(sid, SortedReq{Pos: 1})
+	resp, err := o.HandleContext(context.Background(), sid, SortedReq{Pos: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestOwnerHandlers(t *testing.T) {
 	}
 
 	item := l.At(5).Item
-	resp, err = o.Handle(sid, LookupReq{Item: item, WantPos: true})
+	resp, err = o.HandleContext(context.Background(), sid, LookupReq{Item: item, WantPos: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestOwnerHandlers(t *testing.T) {
 
 	// Probe reads the first unseen position: sorted accesses don't mark —
 	// only probe and mark do — so the first probe must read position 1.
-	resp, err = o.Handle(sid, ProbeReq{})
+	resp, err = o.HandleContext(context.Background(), sid, ProbeReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +130,14 @@ func TestOwnerHandlers(t *testing.T) {
 	}
 
 	// Marking position 3 leaves 2 unseen: best stays 1, next probe is 2.
-	resp, err = o.Handle(sid, MarkReq{Item: l.At(3).Item})
+	resp, err = o.HandleContext(context.Background(), sid, MarkReq{Item: l.At(3).Item})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mr := resp.(MarkResp); mr.BestScore != l.At(1).Score || mr.Score != l.At(3).Score {
 		t.Errorf("mark = %+v", mr)
 	}
-	resp, err = o.Handle(sid, ProbeReq{})
+	resp, err = o.HandleContext(context.Background(), sid, ProbeReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,17 +182,17 @@ func TestOwnerHandlers(t *testing.T) {
 		MarkReq{Item: -2}, TopKReq{K: 0},
 		FetchReq{Items: []list.ItemID{0, list.ItemID(db.N())}},
 	} {
-		if _, err := o.Handle(sid, req); err == nil {
+		if _, err := o.HandleContext(context.Background(), sid, req); err == nil {
 			t.Errorf("%#v accepted", req)
 		}
 	}
 
 	// Unknown and closed sessions are rejected with ErrUnknownSession.
-	if _, err := o.Handle("nope", ProbeReq{}); !errors.Is(err, ErrUnknownSession) {
+	if _, err := o.HandleContext(context.Background(), "nope", ProbeReq{}); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("unknown session: %v", err)
 	}
 	o.CloseSession(sid)
-	if _, err := o.Handle(sid, ProbeReq{}); !errors.Is(err, ErrUnknownSession) {
+	if _, err := o.HandleContext(context.Background(), sid, ProbeReq{}); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("closed session: %v", err)
 	}
 	if o.Sessions() != 0 {
@@ -219,7 +219,7 @@ func TestOwnerSessionIsolation(t *testing.T) {
 	l := db.List(0)
 	// Session a probes twice; session b must still see position 1 first.
 	for i := 1; i <= 2; i++ {
-		resp, err := o.Handle("a", ProbeReq{})
+		resp, err := o.HandleContext(context.Background(), "a", ProbeReq{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestOwnerSessionIsolation(t *testing.T) {
 			t.Fatalf("a probe %d = %+v", i, got)
 		}
 	}
-	resp, err := o.Handle("b", ProbeReq{})
+	resp, err := o.HandleContext(context.Background(), "b", ProbeReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestOwnerProbeExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		resp, err := o.Handle(sid, ProbeReq{})
+		resp, err := o.HandleContext(context.Background(), sid, ProbeReq{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestOwnerProbeExhaustion(t *testing.T) {
 			t.Error("last probe not exhausted")
 		}
 	}
-	resp, err := o.Handle(sid, ProbeReq{})
+	resp, err := o.HandleContext(context.Background(), sid, ProbeReq{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestLoopbackBasics(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lb.owners[0].Handle(sid, ProbeReq{}); !errors.Is(err, ErrUnknownSession) {
+	if _, err := lb.owners[0].HandleContext(context.Background(), sid, ProbeReq{}); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("closed loopback session still handled: %v", err)
 	}
 }
@@ -587,7 +587,7 @@ func startHTTPOwners(t *testing.T, db *list.Database) ([]string, []*Server) {
 func TestHTTPRoundTrip(t *testing.T) {
 	db := testDB(t)
 	urls, servers := startHTTPOwners(t, db)
-	hc, err := DialOwners(urls, nil)
+	hc, err := Dial(context.Background(), DialConfig{Topology: SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,7 +688,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 func TestHTTPConcurrentSessions(t *testing.T) {
 	db := testDB(t)
 	urls, _ := startHTTPOwners(t, db)
-	hc, err := DialOwners(urls, nil)
+	hc, err := Dial(context.Background(), DialConfig{Topology: SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -750,7 +750,7 @@ func TestHTTPRetryTransient(t *testing.T) {
 		srvOne.Handler().ServeHTTP(w, r)
 	}))
 	defer tsOne.Close()
-	hc, err := DialOwners([]string{tsOne.URL}, nil)
+	hc, err := Dial(context.Background(), DialConfig{Topology: SingleTopology([]string{tsOne.URL})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -830,7 +830,7 @@ func TestHTTPCancel(t *testing.T) {
 	ts := httptest.NewServer(slow)
 	defer ts.Close()
 	defer close(release)
-	hc, err := DialOwners([]string{ts.URL}, nil)
+	hc, err := Dial(context.Background(), DialConfig{Topology: SingleTopology([]string{ts.URL})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -856,20 +856,20 @@ func TestDialValidation(t *testing.T) {
 	db := testDB(t)
 	urls, _ := startHTTPOwners(t, db)
 
-	if _, err := DialOwners(nil, nil); err == nil {
+	if _, err := Dial(context.Background(), DialConfig{Topology: SingleTopology(nil)}); err == nil {
 		t.Error("empty cluster accepted")
 	}
 	// Owners out of order: URL position must match list index.
-	if _, err := DialOwners([]string{urls[1], urls[0], urls[2]}, nil); err == nil ||
+	if _, err := Dial(context.Background(), DialConfig{Topology: SingleTopology([]string{urls[1], urls[0], urls[2]})}); err == nil ||
 		!strings.Contains(err.Error(), "order") {
 		t.Errorf("shuffled owners accepted: %v", err)
 	}
 	// Partial cluster: owner reports a 3-list database, cluster has 2.
-	if _, err := DialOwners(urls[:2], nil); err == nil {
+	if _, err := Dial(context.Background(), DialConfig{Topology: SingleTopology(urls[:2])}); err == nil {
 		t.Error("partial cluster accepted")
 	}
 	// Unreachable owner (the single retry must not mask it).
-	if _, err := DialOwners([]string{"http://127.0.0.1:1"}, nil); err == nil {
+	if _, err := Dial(context.Background(), DialConfig{Topology: SingleTopology([]string{"http://127.0.0.1:1"})}); err == nil {
 		t.Error("unreachable owner accepted")
 	}
 	// Mismatched list lengths across owners.
@@ -880,7 +880,7 @@ func TestDialValidation(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	if _, err := DialOwners([]string{urls[0], urls[1], ts.URL}, nil); err == nil {
+	if _, err := Dial(context.Background(), DialConfig{Topology: SingleTopology([]string{urls[0], urls[1], ts.URL})}); err == nil {
 		t.Error("mismatched list length accepted")
 	}
 }
@@ -915,7 +915,7 @@ func TestOwnerHandleBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := db.List(0)
-	resp, err := o.Handle(sid, BatchReq{Reqs: []Request{
+	resp, err := o.HandleContext(context.Background(), sid, BatchReq{Reqs: []Request{
 		ProbeReq{}, // reads position 1
 		ProbeReq{}, // order matters: must read position 2, not 1 again
 		LookupReq{Item: l.At(5).Item, WantPos: true},
@@ -939,7 +939,7 @@ func TestOwnerHandleBatch(t *testing.T) {
 
 	// Inner failure: the error names the index, the prefix's accesses
 	// stay charged (the work was done), and the session stays usable.
-	_, err = o.Handle(sid, BatchReq{Reqs: []Request{ProbeReq{}, SortedReq{Pos: -1}}})
+	_, err = o.HandleContext(context.Background(), sid, BatchReq{Reqs: []Request{ProbeReq{}, SortedReq{Pos: -1}}})
 	if err == nil || !strings.Contains(err.Error(), "batch[1]") {
 		t.Errorf("failing batch: %v", err)
 	}
@@ -952,7 +952,7 @@ func TestOwnerHandleBatch(t *testing.T) {
 	}
 
 	// Nested batches are rejected.
-	if _, err := o.Handle(sid, BatchReq{Reqs: []Request{BatchReq{Reqs: []Request{ProbeReq{}}}}}); err == nil {
+	if _, err := o.HandleContext(context.Background(), sid, BatchReq{Reqs: []Request{BatchReq{Reqs: []Request{ProbeReq{}}}}}); err == nil {
 		t.Error("nested batch accepted")
 	}
 }
@@ -981,13 +981,13 @@ func TestBatchMatchesUnbatched(t *testing.T) {
 	}
 	var single []Response
 	for _, req := range reqs {
-		resp, err := o.Handle("one", req)
+		resp, err := o.HandleContext(context.Background(), "one", req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		single = append(single, resp)
 	}
-	resp, err := o.Handle("batched", BatchReq{Reqs: reqs})
+	resp, err := o.HandleContext(context.Background(), "batched", BatchReq{Reqs: reqs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1021,12 +1021,12 @@ func TestSessionTTLEviction(t *testing.T) {
 	// Keep "live" warm past the idle bound of "idle".
 	deadline := time.Now().Add(600 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if _, err := o.Handle("live", SortedReq{Pos: 1}); err != nil {
+		if _, err := o.HandleContext(context.Background(), "live", SortedReq{Pos: 1}); err != nil {
 			t.Fatalf("live session evicted: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if _, err := o.Handle("idle", ProbeReq{}); !errors.Is(err, ErrUnknownSession) {
+	if _, err := o.HandleContext(context.Background(), "idle", ProbeReq{}); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("idle session survived the TTL: %v", err)
 	}
 	if n := o.Evictions(); n != 1 {
@@ -1041,7 +1041,7 @@ func TestSessionTTLEviction(t *testing.T) {
 	// TTL 0 disables eviction entirely.
 	o.SetSessionTTL(0)
 	time.Sleep(50 * time.Millisecond)
-	if _, err := o.Handle("live", SortedReq{Pos: 1}); err != nil {
+	if _, err := o.HandleContext(context.Background(), "live", SortedReq{Pos: 1}); err != nil {
 		t.Errorf("eviction ran with TTL disabled: %v", err)
 	}
 }
@@ -1094,7 +1094,7 @@ func TestWireNegotiation(t *testing.T) {
 	db := testDB(t)
 	urls, _ := startHTTPOwners(t, db)
 
-	hc, err := DialOwners(urls, nil)
+	hc, err := Dial(context.Background(), DialConfig{Topology: SingleTopology(urls)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1137,7 +1137,7 @@ func TestWireNegotiation(t *testing.T) {
 	}
 	stripped := httptest.NewServer(stripCodecs())
 	defer stripped.Close()
-	_, err = DialOwners([]string{stripped.URL, urls[1], urls[2]}, nil)
+	_, err = Dial(context.Background(), DialConfig{Topology: SingleTopology([]string{stripped.URL, urls[1], urls[2]})})
 	if err == nil {
 		t.Fatal("dial accepted an owner that does not advertise the binary codec")
 	}
@@ -1213,7 +1213,7 @@ func TestBatchWithProbeNotRetried(t *testing.T) {
 		srvOne.Handler().ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	hc, err := DialOwners([]string{ts.URL}, nil)
+	hc, err := Dial(context.Background(), DialConfig{Topology: SingleTopology([]string{ts.URL})})
 	if err != nil {
 		t.Fatal(err)
 	}

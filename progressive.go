@@ -27,10 +27,10 @@ type ProgressiveQuery struct {
 // probing: answer j+1 is certified (its score beats everything unseen)
 // before it is returned, and no list position is ever read twice across
 // the whole enumeration. Scores arrive in non-increasing order; among
-// equal scores the order may differ from TopK's deterministic tie-break.
+// equal scores the order may differ from Exec's deterministic tie-break.
 //
 // Use it when k is not known upfront — "show results until the user stops
-// scrolling" — instead of re-running TopK with growing k. Not safe for
+// scrolling" — instead of re-running Exec with growing k. Not safe for
 // concurrent use.
 type ProgressiveIterator struct {
 	db    *Database
@@ -67,14 +67,6 @@ func (db *Database) ProgressiveCtx(ctx context.Context, q ProgressiveQuery) (*Pr
 		return nil, err
 	}
 	return &ProgressiveIterator{db: db, inner: inner}, nil
-}
-
-// Progressive starts a progressive enumeration without a context.
-//
-// Deprecated: use ProgressiveCtx, which adds cancellation and deadlines;
-// Progressive is equivalent to ProgressiveCtx(context.Background(), q).
-func (db *Database) Progressive(q ProgressiveQuery) (*ProgressiveIterator, error) {
-	return db.ProgressiveCtx(context.Background(), q)
 }
 
 // Next returns the next answer in rank order; ok is false after all n

@@ -1,12 +1,13 @@
 package topk
 
 import (
+	"context"
 	"testing"
 )
 
 func TestProgressiveFacade(t *testing.T) {
 	db := ballotDB(t)
-	it, err := db.Progressive(ProgressiveQuery{})
+	it, err := db.ProgressiveCtx(context.Background(), ProgressiveQuery{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestProgressiveFacadeLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := db.Progressive(ProgressiveQuery{Tracker: IntervalTracker})
+	it, err := db.ProgressiveCtx(context.Background(), ProgressiveQuery{Tracker: IntervalTracker})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestProgressiveFacadeLazy(t *testing.T) {
 func TestProgressiveFacadeValidation(t *testing.T) {
 	db := ballotDB(t)
 	// badScoring (deliberately non-monotone) is shared with topk_test.go.
-	if _, err := db.Progressive(ProgressiveQuery{Scoring: badScoring{}, CheckMonotone: true}); err == nil {
+	if _, err := db.ProgressiveCtx(context.Background(), ProgressiveQuery{Scoring: badScoring{}, CheckMonotone: true}); err == nil {
 		t.Error("non-monotone scoring accepted")
 	}
 }

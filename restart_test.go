@@ -204,10 +204,6 @@ func TestRestartAccountingParity(t *testing.T) {
 			if !reflect.DeepEqual(gn, wn) {
 				t.Errorf("primary accounting diverged after restart:\n%+v\nvs undisturbed\n%+v", gn, wn)
 			}
-			// The deprecated flat mirrors track Net.
-			if got.Stats.Messages != gn.Messages || got.Stats.TotalAccesses != gn.TotalAccesses {
-				t.Errorf("flat stat mirrors diverged from Net: %+v", got.Stats)
-			}
 		})
 	}
 }

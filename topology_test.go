@@ -102,9 +102,9 @@ func TestDialClusterConfigReplicated(t *testing.T) {
 				t.Errorf("%v answer %d: %+v vs %+v", p, i, got.Items[i], want.Items[i])
 			}
 		}
-		if got.Stats.Messages != want.Stats.Messages || got.Stats.Payload != want.Stats.Payload ||
-			got.Stats.Rounds != want.Stats.Rounds || got.Stats.TotalAccesses != want.Stats.TotalAccesses ||
-			!reflect.DeepEqual(got.Stats.PerOwner, want.Stats.PerOwner) {
+		if got.Stats.Net.Messages != want.Stats.Net.Messages || got.Stats.Net.Payload != want.Stats.Net.Payload ||
+			got.Stats.Net.Rounds != want.Stats.Net.Rounds || got.Stats.Net.TotalAccesses != want.Stats.Net.TotalAccesses ||
+			!reflect.DeepEqual(got.Stats.Net.PerOwner, want.Stats.Net.PerOwner) {
 			t.Errorf("%v stats diverge: %+v vs %+v", p, got.Stats, want.Stats)
 		}
 	}
@@ -138,9 +138,9 @@ func TestDialClusterConfigValidation(t *testing.T) {
 func TestDistStatsPerOwnerCopied(t *testing.T) {
 	res := &dist.Result{Net: dist.Net{Messages: 4, PerOwner: []int64{2, 2}}}
 	st := distStatsOf(res)
-	st.PerOwner[0] = 99
+	st.Net.PerOwner[0] = 99
 	if res.Net.PerOwner[0] != 2 {
-		t.Error("DistStats.PerOwner aliases the internal accounting slice")
+		t.Error("DistStats.Net.PerOwner aliases the internal accounting slice")
 	}
 }
 
